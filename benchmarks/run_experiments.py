@@ -130,12 +130,13 @@ def e5_reservation_overhead():
     print("E5 — dynamic reservation checks are erasable (§3.2)")
     print("=" * 70)
     print(f"{'workload':>14s} {'checked (ms)':>13s} {'erased (ms)':>12s} "
-          f"{'overhead':>9s}")
+          f"{'overhead':>9s} {'checks':>7s}")
     for label, corpus, maker, fn, n in (
         ("sll-traverse", "sll", "make_list", "sum", 150),
         ("dll-walk", "dll", "make_dll", "dll_length", 300),
     ):
         times = {}
+        performed = {}
         for checks in (True, False):
             program = load_program(corpus)
             best = float("inf")
@@ -145,15 +146,17 @@ def e5_reservation_overhead():
                     program, maker, [n], heap=heap, check_reservations=checks
                 )
                 t0 = time.perf_counter()
-                run_function(
+                _, engine = run_function(
                     program, fn, [lst], heap=heap, check_reservations=checks
                 )
                 best = min(best, (time.perf_counter() - t0) * 1000)
             times[checks] = best
+            performed[checks] = engine.stats.reservation_checks
+        assert performed[False] == 0
         overhead = (times[True] / times[False] - 1) * 100
         print(
             f"{label:>14s} {times[True]:13.2f} {times[False]:12.2f} "
-            f"{overhead:8.0f}%"
+            f"{overhead:8.0f}% {performed[True]:7d}"
         )
     print()
 
@@ -217,9 +220,9 @@ def e8_semantics_agreement():
     from repro.runtime.smallstep import run_function_smallstep
 
     print("=" * 70)
-    print("E8 — ablation: big-step vs fig 7 small-step machine agreement")
+    print("E8 — ablation: bytecode engine vs fig 7 small-step machine")
     print("=" * 70)
-    print(f"{'workload':>16s} {'big (ms)':>9s} {'small (ms)':>11s} "
+    print(f"{'workload':>16s} {'ir (ms)':>9s} {'small (ms)':>11s} "
           f"{'result/traffic':>15s}")
     for label, corpus, maker, n, fn in (
         ("sll sum", "sll", "make_list", 120, "sum"),
@@ -228,7 +231,7 @@ def e8_semantics_agreement():
     ):
         program = load_program(corpus)
         stats = {}
-        for name, runner in (("big", run_function), ("small", run_function_smallstep)):
+        for name, runner in (("ir", run_function), ("small", run_function_smallstep)):
             heap = Heap()
             t0 = time.perf_counter()
             if corpus == "rbtree":
@@ -239,8 +242,8 @@ def e8_semantics_agreement():
                 result, _ = runner(program, fn, [lst], heap=heap)
             stats[name] = ((time.perf_counter() - t0) * 1000, result,
                            heap.reads, heap.writes)
-        agree = (stats["big"][1:] == stats["small"][1:])
-        print(f"{label:>16s} {stats['big'][0]:9.2f} {stats['small'][0]:11.2f} "
+        agree = (stats["ir"][1:] == stats["small"][1:])
+        print(f"{label:>16s} {stats['ir'][0]:9.2f} {stats['small'][0]:11.2f} "
               f"{'identical' if agree else 'DIVERGED':>15s}")
         assert agree
     print()

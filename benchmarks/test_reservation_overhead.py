@@ -2,9 +2,10 @@
 
 The paper proves that well-typed programs never fail a reservation check,
 "hence, a real implementation has no need to track the reservation or to
-perform such checks at run time".  We measure the interpreter with and
-without the checks on the same workloads: identical results, with the
-checked mode paying pure overhead.
+perform such checks at run time".  We measure the bytecode engine with
+and without the checks on the same workloads: identical results, with the
+checked tier paying the guards (the erased tier also runs the full
+optimizer; see EXPERIMENTS.md E5).
 """
 
 import pytest

@@ -1,9 +1,11 @@
-"""Implementation comparison: big-step generator interpreter vs the fig 7
-small-step machine, plus step-throughput of the small-step semantics.
+"""Implementation comparison: the compiled bytecode engine vs the fig 7
+small-step reference machine, plus step-throughput of the small-step
+semantics.
 
 Not a paper experiment per se; an engineering ablation showing both
-runtimes agree while trading convenience (generators) against fidelity and
-stack behaviour (explicit continuations, constant Python stack).
+runtimes agree while trading speed (compiled bytecode) against fidelity
+to the paper's presentation (one transition per step, constant Python
+stack).
 """
 
 import pytest
@@ -19,10 +21,10 @@ WORKLOADS = {
 }
 
 
-@pytest.mark.parametrize("semantics", ["bigstep", "smallstep"])
+@pytest.mark.parametrize("semantics", ["ir", "smallstep"])
 def test_list_traversal(benchmark, semantics):
     program = load_program("sll")
-    runner = run_function if semantics == "bigstep" else run_function_smallstep
+    runner = run_function if semantics == "ir" else run_function_smallstep
 
     def run():
         heap = Heap()
@@ -32,10 +34,10 @@ def test_list_traversal(benchmark, semantics):
     assert benchmark(run) == 100 * 101 // 2
 
 
-@pytest.mark.parametrize("semantics", ["bigstep", "smallstep"])
+@pytest.mark.parametrize("semantics", ["ir", "smallstep"])
 def test_rbtree_build(benchmark, semantics):
     program = load_program("rbtree")
-    runner = run_function if semantics == "bigstep" else run_function_smallstep
+    runner = run_function if semantics == "ir" else run_function_smallstep
 
     def run():
         heap = Heap()

@@ -1,9 +1,9 @@
 """Repo-wide pytest configuration.
 
-The FCL interpreter is a recursive generator: each recursive FCL call
-suspends a chain of Python generator frames, so deeply recursive corpus
-functions (remove_tail on long lists) need a roomier recursion limit than
-CPython's default 1000.
+The destructive-read baseline (``repro.baselines.destructive``) recurses
+in Python once per list node, so its long-list workloads (remove_tail on
+1024 nodes in ``benchmarks/test_writes.py``) need a roomier recursion
+limit than CPython's default 1000.
 """
 
 import sys

@@ -4,7 +4,8 @@ Concurrency" (Milano, Turcotti, Myers; PLDI 2022).
 The package implements the paper's language (FCL), its tempered-domination
 region type system with the focus mechanism and virtual transformations,
 the prover–verifier checking architecture, the dynamic reservation-safe
-runtime with the efficient ``if disconnected`` primitive, message-passing
+runtime (a compiled bytecode engine checked against the fig 7 small-step
+machine) with the efficient ``if disconnected`` primitive, message-passing
 concurrency, and the Table 1 baseline models.
 
 Quickstart (the stable facade — see docs/API.md)::
@@ -46,7 +47,7 @@ from .runtime.machine import (
 )
 from .verifier.verifier import VerificationError, Verifier
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 
 __all__ = [

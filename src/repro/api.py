@@ -248,7 +248,7 @@ class RunResult:
     heap_reads: int = 0
     heap_writes: int = 0
     heap_objects: int = 0
-    engine: str = "tree"
+    engine: str = "ir"
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -274,7 +274,7 @@ class RunResult:
             heap_reads=data["heap_reads"],
             heap_writes=data["heap_writes"],
             heap_objects=data["heap_objects"],
-            engine=data.get("engine", "tree"),
+            engine=data.get("engine", "ir"),
             diagnostics=_diagnostics_from(data["diagnostics"]),
         )
 
@@ -526,24 +526,21 @@ def run(
     max_steps: Optional[int] = None,
     sink_sends: bool = True,
     seed: Optional[int] = None,
-    engine: str = "tree",
+    engine: str = "ir",
     session=None,
 ) -> RunResult:
     """Type-check (unless ``check_first=False``) and run one function
     single-threaded.  ``max_steps`` bounds execution (the server's step
     budget); exceeding it is a ``StepLimitExceeded`` diagnostic.
     ``erased=True`` uses the §3.2 verified-erasure fast path and is only
-    honored when the program was checked.  ``engine`` selects the tree
-    interpreter (``"tree"``, the local default) or the compiled bytecode
-    engine (``"ir"``, see :mod:`repro.ir`).  Note the ``run`` RPC differs:
-    a request without an ``engine`` key defaults to ``"ir"`` — warm
-    daemons serve from the shared compile cache, and
-    :attr:`RunResult.engine` always reports the effective choice.
+    honored when the program was checked.  ``engine`` names the executor;
+    the compiled bytecode engine (``"ir"``, see :mod:`repro.ir`) is the
+    only one, and any other value is a failed result.
     """
     from .runtime.heap import Heap
     from .runtime.machine import run_function
 
-    if engine not in ("tree", "ir"):
+    if engine != "ir":
         return RunResult(
             ok=False,
             engine=engine,
@@ -553,7 +550,7 @@ def run(
                     severity="error",
                     code="MachineError",
                     message=(
-                        f"unknown engine {engine!r}; expected 'tree' or 'ir'"
+                        f"unknown engine {engine!r}; expected 'ir'"
                     ),
                 )
             ],

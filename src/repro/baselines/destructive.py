@@ -69,7 +69,7 @@ def _remove_tail_rec(heap: Heap, node: Loc) -> Optional[Loc]:
 
 
 def fearless_remove_tail(heap: Heap, program, node: Loc) -> RemoveTailResult:
-    """The fig 2 version, executed by the FCL interpreter on the same heap."""
+    """The fig 2 version, executed by the FCL runtime on the same heap."""
     from ..runtime.machine import run_function
 
     reads0, writes0 = heap.reads, heap.writes

@@ -8,12 +8,10 @@ pytest-benchmark needed) and reports a document in schema ``repro-bench/1``
   clone/copy-on-write telemetry counters of the checker run;
 * **generated** — E2: checker scaling on generated ``chain``-length programs;
 * **search** — E4: greedy-with-oracle vs bounded backtracking search;
-* **erasure** — §3.2: guarded vs erased-guard runtime on corpus workloads,
-  plus the number of reservation checks erasure elides;
-* **ir** — tree-walking interpreter vs the compiled bytecode engine
-  (``--engine ir``) in both guard modes, with compile wall-clock and the
-  optimizer's pass counters (calls inlined, loads eliminated, checks
-  erased at lowering);
+* **ir** — §3.2 on the compiled bytecode engine: guarded vs erased-guard
+  runtime, the exact number of reservation checks erasure elides, compile
+  wall-clock and the optimizer's pass counters (calls inlined, loads
+  eliminated, checks erased at lowering);
 * **pipeline** — §5 at batch scale: serial vs thread- and process-pool
   fan-out vs warm certificate cache (replayed and trusted) on the corpus
   and on a generated many-function workload.  Rows record the host's
@@ -53,13 +51,6 @@ from .runtime.machine import run_function
 from .verifier import Verifier
 
 SCHEMA = "repro-bench/1"
-
-#: Erasure workloads: (label, corpus, constructor, traversal, size).
-ERASURE_WORKLOADS = (
-    ("sll-traverse", "sll", "make_list", "sum", 150),
-    ("dll-walk", "dll", "make_dll", "dll_length", 300),
-)
-
 
 def generated_program(chain: int) -> str:
     """A function with ``chain`` sequential iso manipulations + branches —
@@ -398,52 +389,17 @@ def bench_server(small: bool = False) -> List[Dict]:
     return rows
 
 
-def bench_erasure(repeats: int = 5) -> List[Dict]:
-    """§3.2: guarded vs erased-guard runtime wall-clock; the guarded run's
-    reservation-check count is exactly what erasure elides."""
-    from .corpus import load_program
-
-    rows = []
-    for label, corpus, maker, fn, n in ERASURE_WORKLOADS:
-        program = load_program(corpus)
-        best = {True: float("inf"), False: float("inf")}
-        elided = 0
-        for checks in (True, False):
-            for _ in range(repeats):
-                heap = Heap()
-                lst, _ = run_function(
-                    program, maker, [n], heap=heap, check_reservations=checks
-                )
-                t0 = time.perf_counter()
-                _, interp = run_function(
-                    program, fn, [lst], heap=heap, check_reservations=checks
-                )
-                best[checks] = min(
-                    best[checks], (time.perf_counter() - t0) * 1000
-                )
-                if checks:
-                    elided = interp.stats.reservation_checks
-        rows.append(
-            {
-                "workload": label,
-                "checked_ms": round(best[True], 3),
-                "erased_ms": round(best[False], 3),
-                "reservation_checks_elided": elided,
-            }
-        )
-    return rows
-
-
 def bench_ir(repeats: int = 5, small: bool = False) -> List[Dict]:
-    """Tree-walking interpreter vs the compiled bytecode engine
-    (``--engine ir``) on run-heavy corpus workloads.
+    """The compiled bytecode engine on run-heavy corpus workloads.
 
-    Each workload is timed in all four engine × guard-mode configurations
-    (min over ``repeats``, after a cold compile whose wall-clock is
-    reported separately), and the row carries the compile-time pass
-    counters of the erased full-tier module, so a report shows both *how
-    fast* the bytecode runs and *why* (calls inlined, loads eliminated,
-    checks erased at lowering).
+    Each workload is timed in both guard modes (min over ``repeats``,
+    after a cold compile whose wall-clock is reported separately), and the
+    row carries the compile-time pass counters of the erased full-tier
+    module, so a report shows both *how fast* the bytecode runs and *why*
+    (calls inlined, loads eliminated, checks erased at lowering).
+    ``reservation_checks_elided`` is the guarded tier's exact
+    ``machine.reservation_checks`` count for one pass over the calls: the
+    work erasure removes.
     """
     from .ir.bytecode import compile_program
     from .corpus import load_source
@@ -452,6 +408,7 @@ def bench_ir(repeats: int = 5, small: bool = False) -> List[Dict]:
     n_list = 40 if small else 100
     queries = 4 if small else 48
     sums = 4 if small else 20
+    n_dll = 100 if small else 300
 
     def rb_build(program, heap):
         return [("build_tree", [n_tree, 7])]
@@ -478,11 +435,18 @@ def bench_ir(repeats: int = 5, small: bool = False) -> List[Dict]:
         )
         return [("sum", [l])] * sums
 
+    def dll_walk(program, heap):
+        d, _ = run_function(
+            program, "make_dll", [n_dll], heap=heap, check_reservations=False,
+        )
+        return [("dll_length", [d])] * sums
+
     rows = []
     for label, corpus, setup in (
         ("rbtree-build", "rbtree", rb_build),
         ("rbtree-query", "rbtree", rb_query),
         ("chain-traverse", "sll", chain),
+        ("dll-walk", "dll", dll_walk),
     ):
         # A fresh parse per workload guarantees the compile is cold.
         program = parse_program(load_source(corpus))
@@ -493,35 +457,31 @@ def bench_ir(repeats: int = 5, small: bool = False) -> List[Dict]:
         heap = Heap()
         calls = setup(program, heap)
         best: Dict = {}
-        for engine in ("tree", "ir"):
-            for checks in (True, False):
-                key = (engine, checks)
-                best[key] = float("inf")
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    for fn, fargs in calls:
-                        run_function(
-                            program, fn, fargs, heap=heap,
-                            check_reservations=checks, engine=engine,
-                        )
-                    best[key] = min(
-                        best[key], (time.perf_counter() - t0) * 1000
+        elided = 0
+        for checks in (True, False):
+            best[checks] = float("inf")
+            for _ in range(repeats):
+                performed = 0
+                t0 = time.perf_counter()
+                for fn, fargs in calls:
+                    _, machine = run_function(
+                        program, fn, fargs, heap=heap,
+                        check_reservations=checks,
                     )
+                    performed += machine.stats.reservation_checks
+                if checks:
+                    elided = performed
+                best[checks] = min(
+                    best[checks], (time.perf_counter() - t0) * 1000
+                )
         counters = erased_mod.counters
         rows.append(
             {
                 "workload": label,
-                "tree_checked_ms": round(best[("tree", True)], 3),
-                "tree_erased_ms": round(best[("tree", False)], 3),
-                "ir_checked_ms": round(best[("ir", True)], 3),
-                "ir_erased_ms": round(best[("ir", False)], 3),
+                "ir_checked_ms": round(best[True], 3),
+                "ir_erased_ms": round(best[False], 3),
                 "compile_ms": round(compile_ms, 3),
-                "speedup_checked": round(
-                    best[("tree", True)] / best[("ir", True)], 2
-                ),
-                "speedup_erased": round(
-                    best[("tree", False)] / best[("ir", False)], 2
-                ),
+                "reservation_checks_elided": elided,
                 "inlined_calls": counters.get("inlined_calls", 0),
                 "loads_eliminated": counters.get("loads_eliminated", 0),
                 "checks_erased": counters.get("checks_erased", 0),
@@ -556,7 +516,6 @@ def collect(small: bool = False) -> Dict:
         "corpus": bench_corpus(corpus_names),
         "generated": bench_generated(chains),
         "search": bench_search(widths),
-        "erasure": bench_erasure(repeats),
         "ir": bench_ir(repeats, small),
         "pipeline": bench_pipeline(small),
         "modes": bench_modes(small),
@@ -606,32 +565,20 @@ def render_table(doc: Dict) -> str:
             f"{row['width']:6d} {row['greedy_ms']:11.2f} "
             f"{row['search_ms']:11.2f} {row['search_states']:8d}"
         )
-    lines.append("")
-    lines.append("§3.2 — verified reservation-check erasure")
-    lines.append(
-        f"{'workload':>14s} {'checked(ms)':>12s} {'erased(ms)':>11s} "
-        f"{'checks elided':>14s}"
-    )
-    for row in doc["erasure"]:
-        lines.append(
-            f"{row['workload']:>14s} {row['checked_ms']:12.2f} "
-            f"{row['erased_ms']:11.2f} {row['reservation_checks_elided']:14d}"
-        )
     if doc.get("ir"):
         lines.append("")
-        lines.append("bytecode engine — tree interpreter vs --engine ir")
+        lines.append("§3.2 — bytecode engine, checked vs erased")
         lines.append(
-            f"{'workload':>15s} {'tree chk':>9s} {'ir chk':>8s} "
-            f"{'tree ers':>9s} {'ir ers':>8s} {'compile':>8s} "
-            f"{'chk x':>6s} {'ers x':>6s} {'inl':>4s} {'rle':>4s} "
+            f"{'workload':>15s} {'ir chk':>8s} {'ir ers':>8s} "
+            f"{'elided':>7s} {'compile':>8s} {'inl':>4s} {'rle':>4s} "
             f"{'licm':>5s} {'tco':>4s} {'erased':>7s}"
         )
         for row in doc["ir"]:
             lines.append(
-                f"{row['workload']:>15s} {row['tree_checked_ms']:9.1f} "
-                f"{row['ir_checked_ms']:8.1f} {row['tree_erased_ms']:9.1f} "
-                f"{row['ir_erased_ms']:8.1f} {row['compile_ms']:8.1f} "
-                f"{row['speedup_checked']:6.2f} {row['speedup_erased']:6.2f} "
+                f"{row['workload']:>15s} {row['ir_checked_ms']:8.1f} "
+                f"{row['ir_erased_ms']:8.1f} "
+                f"{row.get('reservation_checks_elided', 0):7d} "
+                f"{row['compile_ms']:8.1f} "
                 f"{row['inlined_calls']:4d} {row['loads_eliminated']:4d} "
                 f"{row.get('licm_hoisted', 0):5d} "
                 f"{row.get('tail_calls_looped', 0):4d} "
@@ -697,7 +644,6 @@ SECTION_KEYS = {
     "corpus": "name",
     "generated": "chain",
     "search": "width",
-    "erasure": "workload",
     "ir": "workload",
     "pipeline": "workload",
     "modes": "config",

@@ -70,7 +70,7 @@ from .lang import ParseError, parse_program
 from .lang.lexer import LexError
 from .runtime.heap import Heap
 from .runtime.machine import run_function
-from .runtime.values import NONE, UNIT, Loc
+from .runtime.values import Loc
 from .verifier import VerificationError, Verifier
 
 
@@ -242,28 +242,6 @@ def _parse_args(raw: List[str]):
     return values
 
 
-def _show(value, heap: Heap) -> str:
-    if value is UNIT:
-        return "()"
-    if value is NONE:
-        return "none"
-    if isinstance(value, Loc):
-        obj = heap.obj(value)
-        fields = ", ".join(
-            f"{name} = {_brief(v)}" for name, v in obj.fields.items()
-        )
-        return f"{obj.struct.name}{{{fields}}} @ {value}"
-    return repr(value)
-
-
-def _brief(value) -> str:
-    if value is NONE:
-        return "none"
-    if isinstance(value, Loc):
-        return str(value)
-    return repr(value)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     program = _load(args.file)
     if args.unchecked and (args.erased or args.paranoid):
@@ -296,7 +274,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             tracer.metadata["seed"] = args.seed
     heap = Heap(tracer=tracer)
     # Verified-erasure fast path: the program type-checked, so the
-    # reservation guards are compiled out at interpreter construction.
+    # reservation guards are compiled out of the bytecode.
     check_reservations = not (args.no_reservation_checks or args.erased)
     try:
         result, interp = run_function(
@@ -307,81 +285,64 @@ def cmd_run(args: argparse.Namespace) -> int:
             check_reservations=check_reservations,
             max_steps=args.max_steps,
             seed=args.seed,
-            engine=args.engine,
         )
     except Exception as exc:  # surfaced verbatim: runtime failures matter
         _FAILURES.append(Diagnostic.from_exception(exc, file=args.file))
         print(f"runtime error: {exc}", file=sys.stderr)
         return int(ExitCode.RUNTIME_ERROR)
     if args.paranoid:
-        # Cross-validate §3.2: re-run with guards erased on a fresh heap and
-        # demand the observable trace (and result) are identical.
+        # Cross-validate §3.2 and the engine: re-run with guards erased
+        # (the traced full optimization tier) and on the fig 7 small-step
+        # reference machine, each on a fresh heap, and demand identical
+        # observable traces and results.
+        from .runtime.smallstep import Config
         from .runtime.trace import Tracer
 
-        tracer2 = Tracer()
-        heap2 = Heap(tracer=tracer2)
-        try:
-            result2, _ = run_function(
-                program,
-                args.function,
+        def erased(leg_heap):
+            return run_function(
+                program, args.function, _parse_args(args.args),
+                heap=leg_heap, check_reservations=False,
+                max_steps=args.max_steps, seed=args.seed,
+            )
+
+        def small_step(leg_heap):
+            # No transition budget: a call the IR run finished must not
+            # fail here for want of small-step transitions.
+            config = Config(
+                program, leg_heap, set(leg_heap.locations()), args.function,
                 _parse_args(args.args),
-                heap=heap2,
-                check_reservations=False,
-                max_steps=args.max_steps,
-                seed=args.seed,
-                engine=args.engine,
             )
-        except Exception as exc:
-            print(f"paranoid: erased run failed: {exc}", file=sys.stderr)
-            return int(ExitCode.DIVERGENCE)
-        if tracer.to_dicts() != tracer2.to_dicts() or _show(
-            result, heap
-        ) != _show(result2, heap2):
-            print(
-                "paranoid: DIVERGENCE — erased run's observable trace "
-                "differs from the guarded run",
-                file=sys.stderr,
-            )
-            return int(ExitCode.DIVERGENCE)
-        if args.engine == "ir":
-            # Cross-engine leg: the bytecode run must also match a fresh
-            # guarded tree-interpreter run byte for byte.
-            tracer3 = Tracer()
-            heap3 = Heap(tracer=tracer3)
+            return config.run(max_steps=None), config
+
+        reference = api.render_value(result, heap)
+        for name, against, run_leg in (
+            ("erased", "the guarded run", erased),
+            ("small-step", "the ir engine", small_step),
+        ):
+            leg_heap = Heap(tracer=Tracer())
             try:
-                result3, _ = run_function(
-                    program,
-                    args.function,
-                    _parse_args(args.args),
-                    heap=heap3,
-                    check_reservations=check_reservations,
-                    max_steps=args.max_steps,
-                    seed=args.seed,
-                    engine="tree",
-                )
+                leg_result, _ = run_leg(leg_heap)
             except Exception as exc:
-                print(f"paranoid: tree run failed: {exc}", file=sys.stderr)
+                print(f"paranoid: {name} run failed: {exc}", file=sys.stderr)
                 return int(ExitCode.DIVERGENCE)
-            if tracer.to_dicts() != tracer3.to_dicts() or _show(
-                result, heap
-            ) != _show(result3, heap3):
+            if (
+                tracer.to_dicts() != leg_heap.tracer.to_dicts()
+                or api.render_value(leg_result, leg_heap) != reference
+            ):
                 print(
-                    "paranoid: DIVERGENCE — ir engine's observable trace "
-                    "differs from the tree interpreter",
+                    f"paranoid: DIVERGENCE — {name} run's observable trace "
+                    f"differs from {against}",
                     file=sys.stderr,
                 )
                 return int(ExitCode.DIVERGENCE)
-            print(
-                "paranoid: ir and tree traces identical",
-                file=sys.stderr,
-            )
+        print("paranoid: small-step and ir traces identical", file=sys.stderr)
         print(
             f"paranoid: guarded and erased traces identical "
             f"({len(tracer)} events, "
             f"{interp.stats.reservation_checks} checks validated)",
             file=sys.stderr,
         )
-    print(_show(result, heap))
+    print(api.render_value(result, heap))
     if args.trace_json:
         import json
 
@@ -998,12 +959,7 @@ def _client_run(client, args: argparse.Namespace) -> int:
         _parse_args(raw),
         filename=path,
         max_steps=args.max_steps,
-        engine=args.engine,
     )
-    if args.engine is None:
-        # The server chose: say what actually ran (stdout stays parity-
-        # clean with a local `repro run`).
-        print(f"engine: {result.engine} (server default)", file=sys.stderr)
     if not result.ok:
         for diag in result.diagnostics:
             _fail(diag, source)
@@ -1307,15 +1263,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="abort with a runtime error after N interpreter steps "
+        help="abort with a runtime error after N engine steps "
         "(the step budget `repro serve` applies to every run request)",
-    )
-    p.add_argument(
-        "--engine",
-        choices=("tree", "ir"),
-        default="tree",
-        help="execution engine: the tree-walking interpreter (default) "
-        "or the optimizing bytecode compiler (--engine ir)",
     )
     metrics_flag(p)
     p.set_defaults(func=cmd_run)
@@ -1710,14 +1659,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="step budget to request for `client run`",
-    )
-    p.add_argument(
-        "--engine",
-        choices=("tree", "ir"),
-        default=None,
-        help="execution engine to request for `client run` (omitted: the "
-        "server picks — warm daemons default to ir; the effective engine "
-        "is reported on stderr)",
     )
     p.add_argument(
         "--prom",

@@ -217,10 +217,8 @@ class Client:
         erased: bool = False,
         engine: Optional[str] = None,
     ) -> RunResult:
-        """``engine=None`` (the default) lets the server choose — warm
-        daemons default to the compiled bytecode engine (``"ir"``); the
-        effective choice comes back in :attr:`RunResult.engine`.  Pass
-        ``"tree"`` or ``"ir"`` to pin it."""
+        """``engine`` is sent only when given; ``"ir"`` is the only engine
+        the server accepts (anything else is ``invalid-request``)."""
         params: Dict[str, Any] = {
             "source": source,
             "function": function,

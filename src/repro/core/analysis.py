@@ -1,17 +1,15 @@
-"""Cached per-function control- and data-flow analysis (§5.1 support).
+"""Cached per-function data-flow analysis (§5.1 support).
 
 The checker's liveness oracle and branch unification repeatedly need the
 same facts about a function body: which variables an expression reads
-(``uses``), which are live after each node, and where definitions reach.
-Before this module they were re-derived node by node — ``uses`` walked the
+(``uses``) and which are live after each node.  Before this module they were re-derived node by node — ``uses`` walked the
 subtree on every call, and a fresh :class:`~repro.core.liveness.Liveness`
 was built per function check even when a warm session re-checks the same
 program.
 
 :class:`ProgramAnalysis` owns one lazily built, immutable
-:class:`FunctionAnalysis` per function plus the function-call graph.  All
-facts are computed once and frozen, so a warm
-:class:`~repro.pipeline.session.ProgramSession` can hand the same analysis
+:class:`FunctionAnalysis` per function.  All facts are computed once and
+frozen, so a warm :class:`~repro.pipeline.session.ProgramSession` can hand the same analysis
 to concurrent checker threads: construction is serialised under a small
 lock, reads after publication are lock-free.
 
@@ -25,114 +23,18 @@ Facts provided:
   :func:`repro.core.liveness.uses`).
 * ``liveness`` — the function's backward liveness table, shared across
   repeated checks of the same session.
-* ``cfg`` — a light control-flow graph over the expression tree: one node
-  per control point with successor edges (sequence, branch, loop
-  back-edge).
-* ``reaching_defs(node)`` — the ``(variable, def-site)`` pairs that may
-  reach a control point, from a forward fixpoint over the CFG.
-* ``call_graph()`` / ``callees(name)`` / ``callers(name)`` — the static
-  function-call graph of the program.
+
+The program's call graph lives in :func:`repro.pipeline.cache.callees_of`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet
 
 from ..lang import ast
 from ..telemetry import registry as _telemetry
 from .liveness import Liveness, uses as _uses
-
-
-class CFGNode:
-    """A control point: an AST node plus its successor control points."""
-
-    __slots__ = ("index", "node", "succs")
-
-    def __init__(self, index: int, node: ast.Expr):
-        self.index = index
-        self.node = node
-        self.succs: List[int] = []
-
-
-class CFG:
-    """Control-flow graph over a function body.
-
-    Nodes are the *statement-level* expressions in evaluation order; edges
-    follow sequencing, both branch arms, and the loop back-edge of
-    ``while``.  Entry is node 0 (the body), exits are nodes with no
-    successor.
-    """
-
-    def __init__(self, fdef: ast.FuncDef):
-        self.nodes: List[CFGNode] = []
-        self._index_of: Dict[int, int] = {}
-        last = self._build(fdef.body)
-        self.exits: Tuple[int, ...] = tuple(last)
-
-    def node_index(self, node: ast.Expr) -> Optional[int]:
-        return self._index_of.get(id(node))
-
-    def _add(self, node: ast.Expr) -> int:
-        index = len(self.nodes)
-        self.nodes.append(CFGNode(index, node))
-        self._index_of[id(node)] = index
-        return index
-
-    def _link(self, sources: List[int], target: int) -> None:
-        for source in sources:
-            succs = self.nodes[source].succs
-            if target not in succs:
-                succs.append(target)
-
-    def _build(self, node: ast.Expr) -> List[int]:
-        """Add ``node``'s control points; return the open exit nodes."""
-        index = self._add(node)
-
-        if isinstance(node, ast.Block):
-            open_ends = [index]
-            for entry in node.body:
-                entry_index = len(self.nodes)
-                ends = self._build(entry)
-                self._link(open_ends, entry_index)
-                open_ends = ends
-            return open_ends
-
-        if isinstance(node, (ast.If, ast.IfDisconnected, ast.LetSome)):
-            then_index = len(self.nodes)
-            then_ends = self._build(node.then_block)
-            self._link([index], then_index)
-            if node.else_block is not None:
-                else_index = len(self.nodes)
-                else_ends = self._build(node.else_block)
-                self._link([index], else_index)
-                return then_ends + else_ends
-            return then_ends + [index]
-
-        if isinstance(node, ast.While):
-            body_index = len(self.nodes)
-            body_ends = self._build(node.body)
-            self._link([index], body_index)
-            self._link(body_ends, index)  # back-edge
-            return [index]
-
-        if isinstance(node, ast.LetBind):
-            init_index = len(self.nodes)
-            init_ends = self._build(node.init)
-            self._link([index], init_index)
-            return init_ends
-
-        # Straight-line expressions are a single control point.
-        return [index]
-
-
-def _definitions(node: ast.Expr) -> FrozenSet[str]:
-    """Variable names (re)defined directly at ``node``."""
-    if isinstance(node, (ast.LetBind, ast.LetSome)):
-        return frozenset({node.name})
-    if isinstance(node, ast.Assign) and isinstance(node.target, ast.VarRef):
-        return frozenset({node.target.name})
-    return frozenset()
 
 
 class FunctionAnalysis:
@@ -143,14 +45,10 @@ class FunctionAnalysis:
     def __init__(self, fdef: ast.FuncDef):
         self.fdef = fdef
         self.liveness = Liveness(fdef)
-        self.cfg = CFG(fdef)
         self._uses: Dict[int, FrozenSet[str]] = {}
-        self._reaching: Optional[Dict[int, FrozenSet[Tuple[str, int]]]] = None
-        self._reaching_lock = threading.Lock()
         tel = _telemetry()
         if tel.enabled:
             tel.inc("analysis.functions")
-            tel.inc("analysis.cfg.nodes", len(self.cfg.nodes))
 
     def uses(self, expr: ast.Expr) -> FrozenSet[str]:
         """Memoized :func:`repro.core.liveness.uses`."""
@@ -169,68 +67,16 @@ class FunctionAnalysis:
     def live_after(self, node: ast.Expr) -> FrozenSet[str]:
         return self.liveness.live_after(node)
 
-    def reaching_defs(self, node: ast.Expr) -> FrozenSet[Tuple[str, int]]:
-        """The ``(variable, defining CFG node index)`` pairs that may reach
-        ``node``.  Parameters reach as ``(name, -1)``.  Empty for nodes that
-        are not control points."""
-        table = self._reaching
-        if table is None:
-            with self._reaching_lock:
-                table = self._reaching
-                if table is None:
-                    table = self._compute_reaching()
-                    self._reaching = table
-        index = self.cfg.node_index(node)
-        if index is None:
-            return frozenset()
-        return table[index]
-
-    def _compute_reaching(self) -> Dict[int, FrozenSet[Tuple[str, int]]]:
-        tel = _telemetry()
-        if tel.enabled:
-            tel.inc("analysis.reaching.computed")
-        nodes = self.cfg.nodes
-        entry_facts = frozenset(
-            (p.name, -1) for p in self.fdef.params
-        )
-        ins: List[Set[Tuple[str, int]]] = [set() for _ in nodes]
-        if nodes:
-            ins[0] |= entry_facts
-        preds: List[List[int]] = [[] for _ in nodes]
-        for cfg_node in nodes:
-            for succ in cfg_node.succs:
-                preds[succ].append(cfg_node.index)
-
-        def flow(index: int) -> Set[Tuple[str, int]]:
-            defs = _definitions(nodes[index].node)
-            out = {fact for fact in ins[index] if fact[0] not in defs}
-            out |= {(name, index) for name in defs}
-            return out
-
-        changed = True
-        while changed:
-            changed = False
-            for cfg_node in nodes:
-                index = cfg_node.index
-                new_in: Set[Tuple[str, int]] = set(entry_facts) if index == 0 else set()
-                for pred in preds[index]:
-                    new_in |= flow(pred)
-                if new_in - ins[index]:
-                    ins[index] |= new_in
-                    changed = True
-        return {index: frozenset(ins[index]) for index in range(len(nodes))}
-
 
 class ProgramAnalysis:
     """Per-program analysis cache: one :class:`FunctionAnalysis` per
-    function plus the function-call graph.  Thread-safe: construction of
-    each entry is serialised, published entries are immutable."""
+    function.  Thread-safe: construction of each entry is serialised,
+    published entries are immutable."""
 
     def __init__(self, program: ast.Program):
         self._program = program
         self._lock = threading.Lock()
         self._funcs: Dict[str, FunctionAnalysis] = {}
-        self._call_graph: Optional[Dict[str, FrozenSet[str]]] = None
 
     def function(self, name: str) -> FunctionAnalysis:
         analysis = self._funcs.get(name)
@@ -252,36 +98,3 @@ class ProgramAnalysis:
         if self._program.funcs.get(fdef.name) is fdef:
             return self.function(fdef.name)
         return FunctionAnalysis(fdef)
-
-    def call_graph(self) -> Dict[str, FrozenSet[str]]:
-        """``caller -> callees`` over every function of the program."""
-        graph = self._call_graph
-        if graph is not None:
-            return graph
-        with self._lock:
-            graph = self._call_graph
-            if graph is None:
-                graph = {}
-                for name, fdef in self._program.funcs.items():
-                    callees = {
-                        node.func
-                        for node in ast.walk(fdef.body)
-                        if isinstance(node, ast.Call)
-                        and node.func in self._program.funcs
-                    }
-                    graph[name] = frozenset(callees)
-                self._call_graph = graph
-                tel = _telemetry()
-                if tel.enabled:
-                    tel.inc("analysis.callgraph.built")
-        return graph
-
-    def callees(self, name: str) -> FrozenSet[str]:
-        return self.call_graph().get(name, frozenset())
-
-    def callers(self, name: str) -> FrozenSet[str]:
-        return frozenset(
-            caller
-            for caller, callees in self.call_graph().items()
-            if name in callees
-        )

@@ -120,7 +120,7 @@ class Checker:
                 for name, fdef in program.funcs.items()
             }
         )
-        # Per-function liveness/CFG facts, built once and shared across
+        # Per-function liveness facts, built once and shared across
         # repeated checks (and checker threads) of a warm session.
         self.analysis = (
             analysis if analysis is not None else ProgramAnalysis(program)

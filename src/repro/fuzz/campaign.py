@@ -190,7 +190,7 @@ def run_campaign(config: FuzzConfig = FuzzConfig()) -> Dict[str, Any]:
             # and the optimization tiers the ir legs exercised: checked
             # (guarded, traced) and full (erased, traced — the PR-9
             # event-preserving rewrites under a tracer).
-            "engines": ["tree", "ir"],
+            "engines": ["smallstep", "ir"],
             "tiers": ["checked", "full+traced"],
             "coverage": {
                 rule: reg.value(f"checker.vt.{rule}")

@@ -3,7 +3,7 @@
 The smallstep explorer (:mod:`repro.analysis.schedules`) enumerates
 rendezvous pairings over the formal semantics; this module enumerates
 *scheduler decisions* over the production :class:`~repro.runtime.machine.
-Machine` itself, so the object under test is the very interpreter the
+Machine` itself, so the object under test is the very engine the
 fuzzer's other oracles run.  It drives a :class:`~repro.runtime.machine.
 ScriptedScheduler` in probe mode: a run replays a decision prefix and
 raises :class:`~repro.runtime.machine.SchedulePoint` at the first choice

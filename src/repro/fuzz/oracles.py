@@ -17,11 +17,12 @@ layers are made to disagree-check each other:
 3. **guarded/erased** — a guarded run and an `--erased` run replayed over
    the *same* schedule must produce byte-identical heap traces and equal
    results (the reservation machinery must be observationally free).
-4. **tree/ir** — the tree-walking interpreter and the compiled bytecode
-   engine (``--engine ir``), each under the canonical first-option
-   schedule, must produce byte-identical heap traces and equal results;
-   an additional erased-ir leg (the full optimization tier) must agree on
-   the result map.
+4. **small-step/ir** — the fig 7 small-step reference machine and the
+   compiled bytecode engine that ``Machine`` runs, under the canonical
+   first-option schedule, must produce byte-identical heap traces and
+   equal results.  Oracle 3 already pinned the guarded ir trace to the
+   traced erased one (the full optimization tier), so one comparison
+   covers both tiers.
 
 Any disagreement is a :class:`Violation`; the campaign driver shrinks it
 and writes a ``repro-fuzz/1`` report entry.
@@ -48,6 +49,7 @@ from ..runtime.machine import (
     ReservationViolation,
     ScriptedScheduler,
 )
+from ..runtime.smallstep import SmallStepMachine
 from ..runtime.trace import Tracer
 from ..verifier.verifier import VerificationError, Verifier
 from .explore import enumerate_schedules, run_scripted
@@ -293,13 +295,17 @@ def check_case(
 
     # Oracle 3: guarded and erased runs over the same schedule must have
     # byte-identical heap traces and equal results.
-    outcome.violation, outcome.results = _erasure_oracle(program, case.spawns)
+    outcome.violation, outcome.results, trace = _erasure_oracle(
+        program, case.spawns
+    )
     if outcome.violation is not None:
         return outcome
 
     # Oracle 4: the compiled bytecode engine must be observationally
-    # indistinguishable from the tree interpreter.
-    outcome.violation = _engine_oracle(program, case.spawns)
+    # indistinguishable from the fig 7 small-step reference machine.
+    outcome.violation = _engine_oracle(
+        program, case.spawns, trace, outcome.results
+    )
     return outcome
 
 
@@ -334,14 +340,13 @@ def _run_once(
     *,
     check_reservations: bool = True,
     tracer: Optional[Tracer] = None,
-    engine: str = "tree",
+    machine_cls=Machine,
 ) -> Tuple[Optional[Violation], Optional[Dict[int, Any]]]:
-    machine = Machine(
+    machine = machine_cls(
         program,
         check_reservations=check_reservations,
         scheduler=scheduler,
         tracer=tracer,
-        engine=engine,
     )
     for name, args in spawns:
         machine.spawn(name, list(args))
@@ -353,14 +358,16 @@ def _run_once(
         return Violation("deadlock", str(exc)), None
     except MachineError as exc:
         return Violation("runtime-crash", f"{type(exc).__name__}: {exc}"), None
-    except Exception as exc:  # noqa: BLE001 — interpreter crashes are findings
+    except Exception as exc:  # noqa: BLE001 — engine crashes are findings
         return Violation("runtime-crash", f"{type(exc).__name__}: {exc}"), None
 
 
 def _erasure_oracle(
     program: ast.Program, spawns: List[Tuple[str, List[Any]]]
-) -> Tuple[Optional[Violation], Optional[Dict[int, Any]]]:
-    """Guarded vs erased over the canonical (all-first-option) schedule."""
+) -> Tuple[Optional[Violation], Optional[Dict[int, Any]], Optional[Tracer]]:
+    """Guarded vs erased over the canonical (all-first-option) schedule.
+    Both runs are traced, so the erased leg is the full optimization tier
+    under observation.  Returns the guarded trace for oracle 4."""
     guarded_tracer = Tracer()
     guarded_sched = ScriptedScheduler()
     violation, guarded = _run_once(
@@ -368,7 +375,7 @@ def _erasure_oracle(
     )
     if violation is not None:
         violation.schedule = {"kind": "decisions", "value": []}
-        return violation, None
+        return violation, None, None
     erased_tracer = Tracer()
     erased_sched = ScriptedScheduler(guarded_sched.taken)
     violation, erased = _run_once(
@@ -383,13 +390,12 @@ def _erasure_oracle(
         violation.oracle = "erasure"
         violation.detail = f"erased run failed: {violation.detail}"
         violation.schedule = schedule
-        return violation, None
-    guarded_bytes = json.dumps(list(guarded_tracer.to_dicts()), sort_keys=True)
-    erased_bytes = json.dumps(list(erased_tracer.to_dicts()), sort_keys=True)
-    if guarded_bytes != erased_bytes:
+        return violation, None, None
+    if _trace_bytes(guarded_tracer) != _trace_bytes(erased_tracer):
         detail = _first_divergence(guarded_tracer, erased_tracer)
         return (
             Violation("erasure", f"trace divergence: {detail}", schedule),
+            None,
             None,
         )
     if guarded != erased:
@@ -400,77 +406,47 @@ def _erasure_oracle(
                 schedule,
             ),
             None,
+            None,
         )
-    return None, guarded
+    return None, guarded, guarded_tracer
 
 
 def _engine_oracle(
-    program: ast.Program, spawns: List[Tuple[str, List[Any]]]
+    program: ast.Program,
+    spawns: List[Tuple[str, List[Any]]],
+    ir_tracer: Tracer,
+    ir_results: Optional[Dict[int, Any]],
 ) -> Optional[Violation]:
-    """Tree interpreter vs bytecode engine over the canonical schedule.
-
-    Both engines run guarded with a fresh first-option scheduler (the
-    canonical schedule is yield-granularity-independent, so the decision
-    lists need not match) and must produce byte-identical heap traces and
-    equal results.  The erased-ir leg runs **traced** — since PR 9 a
-    tracer no longer disables the full optimization tier, so this is the
-    full tier (mem2var, LICM, global RLE, tail-call loops) under
-    observation: its trace must stay byte-identical to the guarded tree
-    trace (erasure oracle 3 already pins guarded ≡ erased for the tree
-    engine) and its results equal."""
-    tree_tracer = Tracer()
-    violation, tree = _run_once(
-        program, spawns, ScriptedScheduler(), tracer=tree_tracer
-    )
-    if violation is not None:
-        violation.schedule = {"kind": "decisions", "value": []}
-        return violation
+    """Small-step reference vs bytecode engine over the canonical
+    schedule: a guarded small-step run under a fresh first-option
+    scheduler must reproduce the guarded ir run's trace byte for byte
+    (the canonical schedule is yield-granularity-independent, so the
+    decision lists need not match) and its results."""
     schedule = {"kind": "decisions", "value": []}
-    ir_tracer = Tracer()
-    violation, ir_results = _run_once(
-        program, spawns, ScriptedScheduler(), tracer=ir_tracer, engine="ir"
+    tracer = Tracer()
+    violation, results = _run_once(
+        program, spawns, ScriptedScheduler(), tracer=tracer,
+        machine_cls=SmallStepMachine,
     )
     if violation is not None:
         violation.oracle = "engine"
-        violation.detail = f"ir run failed: {violation.detail}"
+        violation.detail = f"small-step run failed: {violation.detail}"
         violation.schedule = schedule
         return violation
-    tree_bytes = json.dumps(list(tree_tracer.to_dicts()), sort_keys=True)
-    ir_bytes = json.dumps(list(ir_tracer.to_dicts()), sort_keys=True)
-    if tree_bytes != ir_bytes:
-        detail = _first_divergence(tree_tracer, ir_tracer, ("tree", "ir"))
+    if _trace_bytes(tracer) != _trace_bytes(ir_tracer):
+        detail = _first_divergence(tracer, ir_tracer, ("small-step", "ir"))
         return Violation("engine", f"trace divergence: {detail}", schedule)
-    if tree != ir_results:
+    if results != ir_results:
         return Violation(
             "engine",
-            f"result divergence: tree {tree!r} vs ir {ir_results!r}",
-            schedule,
-        )
-    erased_tracer = Tracer()
-    violation, ir_erased = _run_once(
-        program, spawns, ScriptedScheduler(),
-        check_reservations=False, tracer=erased_tracer, engine="ir",
-    )
-    if violation is not None:
-        violation.oracle = "engine"
-        violation.detail = f"traced full-tier ir run failed: {violation.detail}"
-        violation.schedule = schedule
-        return violation
-    erased_bytes = json.dumps(list(erased_tracer.to_dicts()), sort_keys=True)
-    if tree_bytes != erased_bytes:
-        detail = _first_divergence(
-            tree_tracer, erased_tracer, ("tree", "full-tier ir")
-        )
-        return Violation(
-            "engine", f"full-tier trace divergence: {detail}", schedule
-        )
-    if ir_erased != tree:
-        return Violation(
-            "engine",
-            f"erased-ir result divergence: tree {tree!r} vs ir {ir_erased!r}",
+            f"result divergence: small-step {results!r} vs ir {ir_results!r}",
             schedule,
         )
     return None
+
+
+def _trace_bytes(tracer: Tracer) -> str:
+    return json.dumps(list(tracer.to_dicts()), sort_keys=True)
 
 
 def _first_divergence(

@@ -6,12 +6,13 @@ inlining, simplification, mem2var, loop optimization, global
 redundant-load elimination, DCE, register allocation) →
 :mod:`repro.ir.bytecode` (flat linear bytecode, cached per program and
 in a shared cross-program LRU) → :mod:`repro.ir.engine` (the dispatch
-loop, protocol-compatible with the tree interpreter).
+loop that ``runtime.machine.run_function`` and ``Machine`` drive).
 
-Select it at the surface with ``repro run --engine ir`` (or
-``engine="ir"`` through :func:`repro.api.run`, the ``run`` RPC — where
-it is the default — and ``runtime.machine.run_function``/``Machine``).
-``repro disasm FILE`` dumps the bytecode with per-pass attribution.
+This is the only execution engine: ``repro run``, :func:`repro.api.run`,
+the ``run`` RPC and the REPL's declarations all run on it, and it is
+checked against the fig 7 small-step machine
+(:mod:`repro.runtime.smallstep`).  ``repro disasm FILE`` dumps the
+bytecode with per-pass attribution.
 """
 
 from .bytecode import (

@@ -423,8 +423,8 @@ def compile_program(
 
     ``observable`` means a tracer is attached: the full tier still runs
     (when ``checked`` is off) but heap-eliminating rewrites take their
-    event-preserving forms, so traces stay byte-comparable with the tree
-    interpreter.  Two cache layers: a per-program dict (same Program
+    event-preserving forms, so traces stay byte-comparable with the small-step
+    reference machine.  Two cache layers: a per-program dict (same Program
     object re-run, e.g. fuzz oracles) and a shared fingerprint-keyed LRU
     (distinct Program objects from the same source, e.g. serve-fleet
     requests without a session).

@@ -1,25 +1,23 @@
 """The bytecode execution engine.
 
-:class:`IREngine` is a drop-in replacement for
-:class:`repro.runtime.machine.Interpreter`: it exposes the same
-``call(name, args)`` generator protocol (yielding ``(EV_STEP,)`` /
-``(EV_SEND, struct, root, live)`` / ``(EV_RECV, tyname)`` and resuming
-with the rendezvous value), the same ``stats``/``reservation`` surface,
-and raises the same exceptions with the same messages — so ``Machine``,
-``run_function``, schedulers, tracing, and step budgets all work
-unchanged with ``engine="ir"``.
+:class:`IREngine` runs one thread's compiled code.  It exposes the
+``call(name, args)`` generator protocol that ``Machine`` and
+``run_function`` drive (yielding ``(EV_STEP,)`` / ``(EV_SEND, struct,
+root, live)`` / ``(EV_RECV, tyname)`` and resuming with the rendezvous
+value) plus the ``stats``/``reservation`` surface, and raises the
+runtime's exceptions.  Its heap-event traces match the fig 7 small-step
+machine's (:mod:`repro.runtime.smallstep`) byte for byte.
 
-Differences from the tree interpreter, by design:
+By design:
 
-* ``stats.steps`` counts bytecode instructions retired, not AST nodes
-  visited (budgets are engine-relative).
+* ``stats.steps`` counts bytecode instructions retired (budgets are
+  engine-relative: the small-step machine counts transitions).
 * The step budget is enforced *inside* the dispatch loop at control-flow
-  instructions — every loop iteration and call crosses one — instead of
-  by an external driver, raising :class:`StepLimitExceeded` directly.
-* When preemptive, the engine yields at basic-block boundaries rather
-  than per AST node.  Scheduling decisions stay deterministic for a fixed
-  scheduler because the yield points are a pure function of the compiled
-  code.
+  instructions — every loop iteration and call crosses one — raising
+  :class:`StepLimitExceeded` directly.
+* When preemptive, the engine yields at basic-block boundaries.
+  Scheduling decisions stay deterministic for a fixed scheduler because
+  the yield points are a pure function of the compiled code.
 * Calls use an explicit frame stack, so deep FCL recursion never hits the
   Python recursion limit.
 """
@@ -85,7 +83,7 @@ class IREngine:
         # Guard erasure happened at lowering: the erased module simply has
         # no check instructions.  A tracer on the heap selects the
         # observable tier so heap-event traces stay comparable with the
-        # tree interpreter.
+        # small-step reference.
         self._module = compile_program(
             program,
             checked=check_reservations,

@@ -1,22 +1,22 @@
 """AST → IR lowering, with guard erasure decided here (not at dispatch).
 
-The lowering mirrors the tree interpreter's evaluation order *exactly* —
-operand evaluation, `as-loc` coercions, reservation guards, heap reads and
-writes happen in the same sequence — so a checked IR run produces the same
-heap-event trace and the same ``reservation_checks`` count as
-``runtime.machine.Interpreter``, and ``--paranoid`` can byte-compare the
-two engines' traces.
+The lowering mirrors the evaluation order of the fig 7 small-step machine
+(:mod:`repro.runtime.smallstep`) *exactly* — operand evaluation,
+`as-loc` coercions, reservation guards, heap reads and writes happen in
+the same sequence — so
+an IR run produces the same heap-event trace as the reference semantics,
+and ``--paranoid`` can byte-compare the two.
 
 Guard sites replicate fig 7's pervasive checks:
 
-* function entry: one ``check`` per parameter (the interpreter guards each
-  argument while binding it);
+* function entry: one ``check`` per parameter (each argument is guarded
+  while it is bound);
 * every variable use (``check`` on the variable's slot before the value is
   captured);
 * field reads: ``asloc`` + ``check`` on the base, then ``check`` on a
   location result;
 * field writes: ``asloc`` on the base *before* the value is evaluated
-  (the interpreter's as-loc error preempts value side effects), then
+  (the as-loc error preempts value side effects), then
   ``check`` base / ``check`` value;
 * ``if disconnected``: ``asloc`` + ``check`` on both operands;
 * ``send``: the live-set containment check is part of the send opcode and
@@ -46,7 +46,7 @@ class FunctionLowerer:
         self.fn = IRFunction(fdef.name, len(fdef.params))
         self.cur = self.fn.new_block()
         # Compile-time scope stack: FCL has no closures, so lexical name →
-        # slot resolution here is exactly the interpreter's Env at run time.
+        # slot resolution here is exactly the reference machine's Env at run time.
         self.scopes: List[Dict[str, int]] = [
             {p.name: i for i, p in enumerate(fdef.params)}
         ]
@@ -110,8 +110,8 @@ class FunctionLowerer:
             slot = self.lookup(node.name)
             self.guard(slot)
             # Capture the value now: later assignments to the variable must
-            # not retroactively change this use (the interpreter reads the
-            # environment at evaluation time).
+            # not retroactively change this use (the reference semantics reads
+            # the environment at evaluation time).
             t = self.fn.new_slot()
             self.emit("mov", t, slot)
             return t
@@ -250,8 +250,8 @@ class FunctionLowerer:
             for fieldname, init in node.inits.items():
                 names.append(fieldname)
                 slots.append(self.lower(init))
-            # Validate the struct exists at compile time (the interpreter
-            # would raise the same KeyError at run time).
+            # Validate the struct exists at compile time (the small-step
+            # machine would raise the same KeyError at run time).
             self.program.struct(node.struct)
             t = self.fn.new_slot()
             self.emit("new", t, node.struct, tuple(names), tuple(slots))
@@ -329,7 +329,7 @@ class FunctionLowerer:
             return self.const(UNIT)
         target: ast.FieldRef = node.target
         base = self.lower(target.base)
-        # The interpreter coerces the base to a location *before* evaluating
+        # Fig 7 coerces the base to a location *before* evaluating
         # the right-hand side, so the as-loc error must preempt any value
         # side effects here too.
         self.emit("asloc", None, base)

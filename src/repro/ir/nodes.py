@@ -58,7 +58,7 @@ time), which is what makes the erased bytecode genuinely check-free.
 compilations (erased mode with a tracer attached): they are how the
 optimizer eliminates heap traffic while still emitting every heap event
 at its original position, keeping ``--trace-json`` byte-identical with
-the tree interpreter.  Lowering never creates them; only the passes do.
+the small-step reference machine.  Lowering never creates them; only the passes do.
 """
 
 from __future__ import annotations

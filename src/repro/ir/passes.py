@@ -15,8 +15,9 @@ Two tiers exist because optimization must not outrun observability:
   rewrites take event-preserving forms — ``tload``/``tstore`` emit the
   original read/write events from registers at their original positions,
   ``sload`` primes a preheader cache without any event — so
-  ``--trace-json`` stays byte-identical with the tree interpreter, which
-  is exactly what ``--paranoid`` and the fuzzer's tree≡ir oracle verify.
+  ``--trace-json`` stays byte-identical with the small-step reference
+  machine, which is exactly what ``--paranoid`` and the fuzzer's
+  small-step≡ir oracle verify.
 
 The aliasing facts that license the full tier come from the checker:
 reservations are disjoint and only rendezvous transfers move locations
@@ -35,8 +36,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..lang import ast
-from ..runtime.machine import Interpreter
-from ..runtime.values import NONE, UNIT
+from ..runtime.values import NONE, UNIT, binop
 from .cfg import (
     dominators,
     liveness,
@@ -61,7 +61,7 @@ class IRModule:
         #: refusing the optimizations outright.
         self.full = full
         #: A tracer is attached: every heap event must be emitted at its
-        #: original position, byte-identical with the tree interpreter.
+        #: original position, byte-identical with the small-step machine.
         self.observable = observable
         self.counters = {
             "inlined_calls": 0,
@@ -337,8 +337,7 @@ class SimplifyPass(Pass):
                 lv, rv = consts[l], consts[r]
                 if type(lv) in _FOLDABLE and type(rv) in _FOLDABLE:
                     try:
-                        return Instr("const", ins.dest,
-                                     Interpreter._binop(bop, lv, rv))
+                        return Instr("const", ins.dest, binop(bop, lv, rv))
                     except Exception:
                         return None  # e.g. division by zero: fold nothing
             return None

@@ -7,7 +7,8 @@ The REPL maintains *both* halves of the paper simultaneously:
   variables, tracked iso fields, and consumed regions persist across
   inputs exactly as they would inside one function body;
 * a persistent heap + environment — accepted expressions are then
-  evaluated with the dynamic reservation checks on.
+  evaluated with the dynamic reservation checks on, on the fig 7
+  small-step machine (:mod:`repro.runtime.smallstep`).
 
 Meta-commands:
 
@@ -24,7 +25,7 @@ program; anything else is parsed as an expression, checked, and run.
 from __future__ import annotations
 
 import sys
-from typing import Dict, Tuple
+from typing import Dict, Set, Tuple
 
 from .core.checker import Checker, _FuncChecker
 from .core.contexts import StaticContext
@@ -33,13 +34,11 @@ from .core.regions import RegionSupply
 from .lang import ast, parse_program
 from .lang.lexer import LexError
 from .lang.parser import ParseError, Parser
+from .api import _brief, render_value
 from .runtime.heap import Heap
-from .runtime.machine import (
-    Interpreter,
-    MachineError,
-    ReservationViolation,
-)
-from .runtime.values import NONE, UNIT, RuntimeValue, is_loc
+from .runtime.machine import MachineError, ReservationViolation
+from .runtime.smallstep import BLOCKED_RECV, BLOCKED_SEND, DONE, Config, Env
+from .runtime.values import Loc, RuntimeValue, is_loc
 
 
 class ReplError(Exception):
@@ -57,7 +56,7 @@ class Session:
         self.supply = RegionSupply()
         self.ctx = StaticContext(self.supply)
         self.heap = Heap()
-        self.interp = Interpreter(self.program, self.heap, reservation=set())
+        self.reservation: Set[Loc] = set()
         self.env: Dict[str, RuntimeValue] = {}
 
     # -- declarations -------------------------------------------------------
@@ -71,7 +70,6 @@ class Session:
         self.decl_source = combined
         self.program = program
         self.checker = checker
-        self.interp.program = program
         added = parse_program("struct data { v : int; }\n" + source)
         names = [n for n in added.funcs] + [
             n for n in added.structs if n != "data"
@@ -97,7 +95,7 @@ class Session:
         for name in list(self.env):
             if not self.ctx.has_var(name):
                 del self.env[name]
-        return result, str(value.ty), self._show(result)
+        return result, str(value.ty), render_value(result, self.heap)
 
     def _parse_expr(self, source: str) -> ast.Expr:
         parser = Parser(source)
@@ -149,56 +147,30 @@ class Session:
         return fchecker
 
     def _run(self, expr: ast.Expr) -> RuntimeValue:
-        from repro.runtime.machine import Env
-
         env = Env(self.env)
-        gen = self.interp._eval(expr, env)
+        config = Config.for_expression(
+            self.program, self.heap, self.reservation, expr, env
+        )
         self._last_bound = None
-        try:
-            event = None
-            while True:
-                if event is not None and event[0] == "send":
-                    # The REPL plays a sink thread: the live set leaves this
-                    # session's reservation and is gone.
-                    _kind, _struct, _root, live = event
-                    self.interp.reservation.difference_update(live)
-                    event = gen.send(UNIT)
-                    continue
-                event = next(gen)
-                if event[0] == "recv":
-                    raise ReplError(
-                        "recv needs a multi-threaded Machine; not available "
-                        "in the REPL"
-                    )
-        except StopIteration as stop:
-            # Write assignments back to the session environment.
-            for name in list(self.env):
-                self.env[name] = env.lookup(name)
-            if isinstance(expr, ast.LetBind):
-                self._last_bound = env.lookup(expr.name)
-            return stop.value
-
-    # -- rendering ------------------------------------------------------------
-
-    def _show(self, value: RuntimeValue) -> str:
-        if value is UNIT:
-            return "()"
-        if value is NONE:
-            return "none"
-        if is_loc(value):
-            obj = self.heap.obj(value)
-            fields = ", ".join(
-                f"{k} = {self._brief(v)}" for k, v in obj.fields.items()
-            )
-            return f"{obj.struct.name}{{{fields}}} @ {value}"
-        return repr(value)
-
-    def _brief(self, value: RuntimeValue) -> str:
-        if value is NONE:
-            return "none"
-        if is_loc(value):
-            return str(value)
-        return repr(value)
+        while True:
+            status = config.step()
+            if status == DONE:
+                break
+            if status == BLOCKED_SEND:
+                # The REPL plays a sink thread: the live set leaves this
+                # session's reservation and is gone.
+                config.complete_send()
+            elif status == BLOCKED_RECV:
+                raise ReplError(
+                    "recv needs a multi-threaded Machine; not available "
+                    "in the REPL"
+                )
+        # Write assignments back to the session environment.
+        for name in list(self.env):
+            self.env[name] = env.lookup(name)
+        if isinstance(expr, ast.LetBind):
+            self._last_bound = env.lookup(expr.name)
+        return config.result
 
     def show_context(self) -> str:
         return str(self.ctx)
@@ -208,7 +180,7 @@ class Session:
         for loc in sorted(self.heap.locations()):
             obj = self.heap.obj(loc)
             fields = ", ".join(
-                f"{k} = {self._brief(v)}" for k, v in obj.fields.items()
+                f"{k} = {_brief(v)}" for k, v in obj.fields.items()
             )
             lines.append(
                 f"{loc}: {obj.struct.name}{{{fields}}} "

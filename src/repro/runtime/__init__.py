@@ -4,7 +4,6 @@ from .disconnect import DisconnectStats, efficient_disconnected, naive_disconnec
 from .heap import Heap, HeapObject
 from .machine import (
     DeadlockError,
-    Interpreter,
     Machine,
     MachineError,
     ReservationViolation,
@@ -22,7 +21,6 @@ __all__ = [
     "Heap",
     "HeapObject",
     "Machine",
-    "Interpreter",
     "Thread",
     "run_function",
     "MachineError",

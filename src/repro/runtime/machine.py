@@ -1,23 +1,25 @@
 """The FCL abstract machine: dynamic reservation safety (§3.2) and
 message-passing concurrency (§7).
 
-Each thread evaluates its expression under a *reservation* — the set of
-heap locations it may touch.  Every variable use, field read, and field
-write consults the reservation (the pervasive dynamic checks of fig 7);
-touching a location outside it raises :class:`ReservationViolation`, the
-executable analogue of the semantics "getting stuck".  The paper proves
-well-typed programs never trip these checks, which is why a real
-implementation can erase them — benchmark E5 measures exactly that erasure
-(``check_reservations=False``).
+Each thread runs under a *reservation* — the set of heap locations it may
+touch.  Every variable use, field read, and field write consults the
+reservation (the pervasive dynamic checks of fig 7); touching a location
+outside it raises :class:`ReservationViolation`, the executable analogue of
+the semantics "getting stuck".  The paper proves well-typed programs never
+trip these checks, which is why a real implementation can erase them —
+benchmark E5 measures exactly that erasure (``check_reservations=False``).
 
 Threads communicate by rendezvous ``send``/``recv`` pairs (fig 15): the
 sender's reachable ``live-set`` moves wholesale from its reservation to the
 receiver's.
 
-The interpreter is a recursive generator so that the scheduler can suspend
-threads at ``send``/``recv`` (and, when ``preemptive``, at every heap
-access) and interleave them arbitrarily — hypothesis drives random
-schedules over it in the race-freedom tests (experiment E7).
+Each thread executes on the compiled bytecode engine
+(:class:`repro.ir.engine.IREngine`), a generator that the scheduler
+suspends at ``send``/``recv`` (and, when ``preemptive``, at every basic
+block boundary) so threads interleave arbitrarily — hypothesis drives
+random schedules over it in the race-freedom tests (experiment E7).  The
+reference semantics the engine is checked against is the fig 7
+small-step machine in :mod:`repro.runtime.smallstep`.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from typing import Dict, Generator, Iterable, List, Mapping, Optional, Sequence,
 
 from ..lang import ast
 from ..telemetry import registry as _telemetry
-from .disconnect import DisconnectStats, efficient_disconnected, naive_disconnected
+from .disconnect import DisconnectStats
 from .heap import Heap
 from .trace import RECV as TRACE_RECV
 from .trace import SEND as TRACE_SEND
 from .trace import Tracer
-from .values import NONE, UNIT, Loc, RuntimeValue, is_loc
+from .values import UNIT, Loc, RuntimeValue, is_loc
 
 
 class MachineError(Exception):
@@ -54,39 +56,10 @@ class StepLimitExceeded(MachineError):
     the ``repro serve`` per-request budget, or ``repro run --max-steps``)."""
 
 
-# Yield events from the interpreter generator to the scheduler.
+# Yield events from an engine's generator to the scheduler.
 EV_STEP = "step"
 EV_SEND = "send"
 EV_RECV = "recv"
-
-
-class Env:
-    """A function frame: a stack of block scopes."""
-
-    def __init__(self, initial: Optional[Dict[str, RuntimeValue]] = None):
-        self._scopes: List[Dict[str, RuntimeValue]] = [dict(initial or {})]
-
-    def push(self) -> None:
-        self._scopes.append({})
-
-    def pop(self) -> None:
-        self._scopes.pop()
-
-    def bind(self, name: str, value: RuntimeValue) -> None:
-        self._scopes[-1][name] = value
-
-    def lookup(self, name: str) -> RuntimeValue:
-        for scope in reversed(self._scopes):
-            if name in scope:
-                return scope[name]
-        raise MachineError(f"unbound variable {name!r} at run time")
-
-    def assign(self, name: str, value: RuntimeValue) -> None:
-        for scope in reversed(self._scopes):
-            if name in scope:
-                scope[name] = value
-                return
-        raise MachineError(f"assignment to unbound variable {name!r}")
 
 
 @dataclass
@@ -122,283 +95,6 @@ def publish_thread_stats(stats: ThreadStats) -> None:
     tel.inc("machine.disconnect_checks", len(stats.disconnect_checks))
     for dstats in stats.disconnect_checks:
         tel.observe("machine.disconnect.objects_visited", dstats.objects_visited)
-
-
-class Interpreter:
-    """Evaluates FCL expressions for one thread."""
-
-    def __init__(
-        self,
-        program: ast.Program,
-        heap: Heap,
-        reservation: Set[Loc],
-        check_reservations: bool = True,
-        disconnect: str = "efficient",
-        preemptive: bool = False,
-    ):
-        self.program = program
-        self.heap = heap
-        self.reservation = reservation
-        self.check_reservations = check_reservations
-        self.preemptive = preemptive
-        self.stats = ThreadStats()
-        if disconnect == "efficient":
-            self._disconnected = efficient_disconnected
-        elif disconnect == "naive":
-            self._disconnected = naive_disconnected
-        else:
-            raise ValueError(f"unknown disconnect implementation {disconnect!r}")
-        # Verified-erasure fast path (§3.2): for a type-checked program the
-        # reservation checks can never fire, so the guard is chosen ONCE at
-        # construction — erased runs dispatch straight to the identity
-        # function instead of paying a branch per location use.
-        self._guard = self._guard_checked if check_reservations else self._guard_erased
-        tel = _telemetry()
-        if tel.enabled:
-            tel.inc(
-                "machine.guard_mode.checked"
-                if check_reservations
-                else "machine.guard_mode.erased"
-            )
-
-    # -- reservation discipline -------------------------------------------------
-
-    def _guard_checked(self, value: RuntimeValue) -> RuntimeValue:
-        """The dynamic reservation check applied on every location use."""
-        if is_loc(value):
-            self.stats.reservation_checks += 1
-            self.stats.reservation_cost += 1
-            if value not in self.reservation:
-                raise ReservationViolation(
-                    f"access to {value} outside the thread's reservation"
-                )
-        return value
-
-    @staticmethod
-    def _guard_erased(value: RuntimeValue) -> RuntimeValue:
-        """Erased guard: reservation checks compiled out for verified code."""
-        return value
-
-    # -- entry points ----------------------------------------------------------
-
-    def call(
-        self, name: str, args: Iterable[RuntimeValue]
-    ) -> Generator[Tuple, RuntimeValue, RuntimeValue]:
-        fdef = self.program.func(name)
-        args = list(args)
-        if len(args) != len(fdef.params):
-            raise MachineError(
-                f"{name} expects {len(fdef.params)} arguments, got {len(args)}"
-            )
-        env = Env({p.name: self._guard(a) for p, a in zip(fdef.params, args)})
-        result = yield from self._eval(fdef.body, env)
-        return result
-
-    # -- the evaluator ------------------------------------------------------------
-
-    def _eval(
-        self, node: ast.Expr, env: Env
-    ) -> Generator[Tuple, RuntimeValue, RuntimeValue]:
-        self.stats.steps += 1
-        if self.preemptive:
-            yield (EV_STEP,)
-
-        if isinstance(node, ast.IntLit):
-            return node.value
-        if isinstance(node, ast.BoolLit):
-            return node.value
-        if isinstance(node, ast.UnitLit):
-            return UNIT
-        if isinstance(node, ast.NoneLit):
-            return NONE
-        if isinstance(node, ast.VarRef):
-            return self._guard(env.lookup(node.name))
-        if isinstance(node, ast.SomeExpr):
-            return (yield from self._eval(node.inner, env))
-        if isinstance(node, ast.IsNone):
-            value = yield from self._eval(node.inner, env)
-            return value is NONE
-        if isinstance(node, ast.IsSome):
-            value = yield from self._eval(node.inner, env)
-            return value is not NONE
-
-        if isinstance(node, ast.Block):
-            env.push()
-            try:
-                result: RuntimeValue = UNIT
-                for index, entry in enumerate(node.body):
-                    value = yield from self._eval(entry, env)
-                    is_last = index == len(node.body) - 1
-                    if is_last and not isinstance(entry, ast.LetBind):
-                        result = value
-                return result
-            finally:
-                env.pop()
-
-        if isinstance(node, ast.LetBind):
-            value = yield from self._eval(node.init, env)
-            env.bind(node.name, value)
-            return UNIT
-
-        if isinstance(node, ast.LetSome):
-            scrutinee = yield from self._eval(node.scrutinee, env)
-            if scrutinee is NONE:
-                if node.else_block is None:
-                    return UNIT
-                return (yield from self._eval(node.else_block, env))
-            env.push()
-            try:
-                env.bind(node.name, scrutinee)
-                return (yield from self._eval(node.then_block, env))
-            finally:
-                env.pop()
-
-        if isinstance(node, ast.Assign):
-            return (yield from self._eval_assign(node, env))
-
-        if isinstance(node, ast.FieldRef):
-            base = yield from self._eval(node.base, env)
-            loc = self._as_loc(base, node)
-            self._guard(loc)
-            value = self.heap.read_field(loc, node.fieldname)
-            return self._guard(value) if is_loc(value) else value
-
-        if isinstance(node, ast.If):
-            cond = yield from self._eval(node.cond, env)
-            if cond:
-                return (yield from self._eval(node.then_block, env))
-            if node.else_block is not None:
-                return (yield from self._eval(node.else_block, env))
-            return UNIT
-
-        if isinstance(node, ast.While):
-            while True:
-                cond = yield from self._eval(node.cond, env)
-                if not cond:
-                    return UNIT
-                yield from self._eval(node.body, env)
-
-        if isinstance(node, ast.IfDisconnected):
-            left = yield from self._eval(node.left, env)
-            right = yield from self._eval(node.right, env)
-            left_loc = self._as_loc(left, node)
-            right_loc = self._as_loc(right, node)
-            self._guard(left_loc)
-            self._guard(right_loc)
-            disconnected, stats = self._disconnected(self.heap, left_loc, right_loc)
-            self.stats.disconnect_checks.append(stats)
-            if disconnected:
-                return (yield from self._eval(node.then_block, env))
-            if node.else_block is not None:
-                return (yield from self._eval(node.else_block, env))
-            return UNIT
-
-        if isinstance(node, ast.Unop):
-            value = yield from self._eval(node.inner, env)
-            return (not value) if node.op == "!" else -value
-
-        if isinstance(node, ast.Binop):
-            left = yield from self._eval(node.left, env)
-            right = yield from self._eval(node.right, env)
-            return self._binop(node.op, left, right)
-
-        if isinstance(node, ast.New):
-            inits: Dict[str, RuntimeValue] = {}
-            for fieldname, init in node.inits.items():
-                inits[fieldname] = yield from self._eval(init, env)
-            sdef = self.program.struct(node.struct)
-            loc = self.heap.alloc(sdef, inits)
-            self.reservation.add(loc)
-            return loc
-
-        if isinstance(node, ast.Call):
-            args = []
-            for arg in node.args:
-                args.append((yield from self._eval(arg, env)))
-            return (yield from self.call(node.func, args))
-
-        if isinstance(node, ast.Send):
-            value = yield from self._eval(node.value, env)
-            root = self._as_loc(value, node)
-            live = self.heap.live_set(root)
-            if self.check_reservations:
-                # The send containment check walks the whole live set.
-                self.stats.reservation_checks += 1
-                self.stats.reservation_cost += len(live)
-                if not live <= self.reservation:
-                    raise ReservationViolation(
-                        "send: the live set leaks outside the sender's reservation"
-                    )
-            self.stats.sends += 1
-            yield (EV_SEND, self.heap.obj(root).struct.name, root, live)
-            return UNIT
-
-        if isinstance(node, ast.Recv):
-            self.stats.recvs += 1
-            root = yield (EV_RECV, ast.strip_maybe(node.ty).name)
-            return root
-
-        raise MachineError(f"cannot evaluate {type(node).__name__}")
-
-    def _eval_assign(
-        self, node: ast.Assign, env: Env
-    ) -> Generator[Tuple, RuntimeValue, RuntimeValue]:
-        if isinstance(node.target, ast.VarRef):
-            value = yield from self._eval(node.value, env)
-            env.assign(node.target.name, value)
-            return UNIT
-        target: ast.FieldRef = node.target
-        base = yield from self._eval(target.base, env)
-        loc = self._as_loc(base, node)
-        value = yield from self._eval(node.value, env)
-        self._guard(loc)
-        if is_loc(value):
-            self._guard(value)
-        self.heap.write_field(loc, target.fieldname, value)
-        return UNIT
-
-    @staticmethod
-    def _binop(op: str, left: RuntimeValue, right: RuntimeValue) -> RuntimeValue:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise MachineError("division by zero")
-            return left // right
-        if op == "%":
-            if right == 0:
-                raise MachineError("modulo by zero")
-            return left % right
-        if op == "<":
-            return left < right
-        if op == ">":
-            return left > right
-        if op == "<=":
-            return left <= right
-        if op == ">=":
-            return left >= right
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "&&":
-            return bool(left) and bool(right)
-        if op == "||":
-            return bool(left) or bool(right)
-        raise MachineError(f"unknown operator {op!r}")
-
-    @staticmethod
-    def _as_loc(value: RuntimeValue, node: ast.Expr) -> Loc:
-        if not is_loc(value):
-            raise MachineError(
-                f"expected an object reference, got {value!r} "
-                f"(did a none reach a non-nullable position?)"
-            )
-        return value
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +219,19 @@ class ScriptedScheduler(Scheduler):
         return matching[self._choose(len(matching))]
 
 
+def pick_thread(scheduler: Scheduler, runnable: List, waits: Dict[int, int]):
+    """One scheduling decision: ask ``scheduler`` for a runnable thread and
+    update the fairness bookkeeping ``waits`` (ident → scheduler iterations
+    waited while runnable).  Returns the thread and how long it waited.
+    Shared by :class:`Machine` and the small-step machine."""
+    thread = scheduler.pick(runnable, waits)
+    wait = waits.pop(thread.ident, 0)
+    for t in runnable:
+        if t is not thread:
+            waits[t.ident] = waits.get(t.ident, 0) + 1
+    return thread, wait
+
+
 # ---------------------------------------------------------------------------
 # Threads and the concurrent machine
 # ---------------------------------------------------------------------------
@@ -535,7 +244,7 @@ FAILED = "failed"
 
 
 class Thread:
-    def __init__(self, ident: int, interp: Interpreter, gen: Generator):
+    def __init__(self, ident: int, interp, gen: Generator):
         self.ident = ident
         self.interp = interp
         self.gen = gen
@@ -574,16 +283,12 @@ class Machine:
         seed: Optional[int] = None,
         scheduler: Optional[Scheduler] = None,
         tracer: Optional[Tracer] = None,
-        engine: str = "tree",
     ):
-        if engine not in ("tree", "ir"):
-            raise ValueError(f"unknown engine {engine!r}; expected 'tree' or 'ir'")
         self.program = program
         self.heap = Heap(tracer=tracer)
         self.check_reservations = check_reservations
         self.disconnect = disconnect
         self.preemptive = preemptive
-        self.engine = engine
         self.seed = seed
         self.scheduler = scheduler if scheduler is not None else RandomScheduler(seed)
         self.threads: List[Thread] = []
@@ -598,7 +303,6 @@ class Machine:
 
     def spawn(self, func: str, args: Iterable[RuntimeValue] = ()) -> Thread:
         interp = _make_engine(
-            self.engine,
             self.program,
             self.heap,
             reservation=set(),
@@ -679,13 +383,9 @@ class Machine:
             for t in self.threads:
                 if t.state in (BLOCKED_SEND, BLOCKED_RECV):
                     t.interp.stats.blocked_ticks += 1
-            thread = self.scheduler.pick(runnable, self.waits)
-            wait = self.waits.pop(thread.ident, 0)
+            thread, wait = pick_thread(self.scheduler, runnable, self.waits)
             if wait > self.starvation_max_wait:
                 self.starvation_max_wait = wait
-            for t in runnable:
-                if t is not thread:
-                    self.waits[t.ident] = self.waits.get(t.ident, 0) + 1
             self._advance(thread)
             for t in self.threads:
                 if t.state == FAILED:
@@ -721,7 +421,7 @@ class Machine:
             thread.state = BLOCKED_RECV
             thread.pending = event
             return
-        raise MachineError(f"unknown interpreter event {event!r}")
+        raise MachineError(f"unknown engine event {event!r}")
 
     def _match_rendezvous(self) -> None:
         senders = [t for t in self.threads if t.state == BLOCKED_SEND]
@@ -754,12 +454,11 @@ class Machine:
 
 
 # ---------------------------------------------------------------------------
-# Engine selection and single-threaded convenience
+# Engine construction and single-threaded convenience
 # ---------------------------------------------------------------------------
 
 
 def _make_engine(
-    engine: str,
     program: ast.Program,
     heap: Heap,
     reservation: Set[Loc],
@@ -768,35 +467,19 @@ def _make_engine(
     preemptive: bool,
     max_steps: Optional[int] = None,
 ):
-    """Construct the evaluation engine for one thread.
+    """Construct the bytecode engine for one thread (imported here because
+    :mod:`repro.ir.engine` imports this module)."""
+    from ..ir.engine import IREngine
 
-    ``tree`` is this module's recursive-generator :class:`Interpreter`;
-    ``ir`` compiles the program to bytecode and runs it on
-    :class:`repro.ir.engine.IREngine` (same generator protocol, same
-    exceptions, same trace events).
-    """
-    if engine == "tree":
-        return Interpreter(
-            program,
-            heap,
-            reservation,
-            check_reservations=check_reservations,
-            disconnect=disconnect,
-            preemptive=preemptive,
-        )
-    if engine == "ir":
-        from ..ir.engine import IREngine
-
-        return IREngine(
-            program,
-            heap,
-            reservation,
-            check_reservations=check_reservations,
-            disconnect=disconnect,
-            preemptive=preemptive,
-            max_steps=max_steps,
-        )
-    raise ValueError(f"unknown engine {engine!r}; expected 'tree' or 'ir'")
+    return IREngine(
+        program,
+        heap,
+        reservation,
+        check_reservations=check_reservations,
+        disconnect=disconnect,
+        preemptive=preemptive,
+        max_steps=max_steps,
+    )
 
 
 def run_function(
@@ -810,8 +493,8 @@ def run_function(
     sink_sends: bool = False,
     seed: Optional[int] = None,
     max_steps: Optional[int] = None,
-    engine: str = "tree",
-) -> Tuple[RuntimeValue, Interpreter]:
+    engine: str = "ir",
+):
     """Run a function to completion on a single thread.
 
     ``send``/``recv`` normally require a :class:`Machine`; with
@@ -824,29 +507,25 @@ def run_function(
     (``machine.seed``) so single- and multi-threaded reproduction
     instructions carry the same fields.
 
-    ``engine`` selects the evaluator: the tree-walking interpreter
-    (default) or the compiled bytecode engine (``"ir"``).  The IR engine
-    enforces ``max_steps`` inside its dispatch loop, so it needs no
-    preemptive yielding for budgets.
+    ``engine`` names the evaluator; ``"ir"`` (the compiled bytecode
+    engine) is the only one.  The engine enforces ``max_steps`` inside its
+    dispatch loop, raising :class:`StepLimitExceeded`.
 
-    Returns (result, interpreter) so callers can inspect the heap,
-    reservation, and statistics.
+    Returns (result, engine) so callers can inspect the heap, reservation,
+    and statistics.
     """
+    if engine != "ir":
+        raise ValueError(f"unknown engine {engine!r}; expected 'ir'")
     heap = heap if heap is not None else Heap()
     if reservation is None:
         reservation = set(heap.locations())
-    # A step budget needs the tree interpreter to yield control per
-    # evaluation step; without one the generator only surfaces at
-    # send/recv, exactly as before (so budget-free runs are bit-for-bit
-    # unchanged).  The IR engine checks its budget internally instead.
     interp = _make_engine(
-        engine,
         program,
         heap,
         reservation,
         check_reservations=check_reservations,
         disconnect=disconnect,
-        preemptive=max_steps is not None and engine == "tree",
+        preemptive=False,
         max_steps=max_steps,
     )
     gen = interp.call(name, args)
@@ -856,27 +535,18 @@ def run_function(
     if span is not None:
         span.__enter__()
     try:
-        event = None
+        event = next(gen)
         while True:
-            if event is not None and event[0] == EV_SEND:
-                if not sink_sends:
-                    raise MachineError(
-                        "run_function cannot service send/recv; use Machine"
-                    )
-                _kind, _struct, _root, live = event
-                interp.reservation.difference_update(live)
-                event = gen.send(UNIT)
-                continue
-            event = next(gen)
-            if max_steps is not None and interp.stats.steps > max_steps:
-                gen.close()
-                raise StepLimitExceeded(
-                    f"step budget exceeded ({max_steps} steps)"
-                )
-            if event[0] == EV_RECV:
+            if event[0] != EV_SEND:
                 raise MachineError(
                     "run_function cannot service recv; use Machine"
                 )
+            if not sink_sends:
+                raise MachineError(
+                    "run_function cannot service send/recv; use Machine"
+                )
+            interp.reservation.difference_update(event[3])
+            event = gen.send(UNIT)
     except StopIteration as stop:
         return stop.value, interp
     finally:

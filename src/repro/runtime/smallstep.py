@@ -1,36 +1,49 @@
 """Small-step operational semantics (fig 7) as an explicit CEK machine.
 
-The generator-based :mod:`repro.runtime.machine` is convenient but big-step
-per expression; this module implements the paper's actual presentation: a
+This is the repository's reference semantics: it implements the paper's
+own presentation of FCL's dynamic semantics, and the compiled bytecode
+engine that :class:`~repro.runtime.machine.Machine` runs is checked
+against it (fuzz oracle 4, ``repro run --paranoid``, and the IR parity
+tests compare heap-event traces byte for byte).  A
 configuration ``(d, h, s, e)`` — reservation, heap, stack, expression —
 advanced one transition at a time by :meth:`Config.step`.  Continuations
 are an explicit frame stack, so there is no Python recursion: million-step
 executions and deeply recursive FCL functions run in constant Python stack.
 
-Every variable use, field read, and field write performs the reservation
+Every variable use, function argument, field read, and field write performs the reservation
 check of rules E2/E5A/E7A/E8 (when enabled); a failed check raises
 :class:`~repro.runtime.machine.ReservationViolation` — the operational
 "stuck" state.  ``send``/``recv`` yield :data:`BLOCKED_SEND` /
 :data:`BLOCKED_RECV` statuses that :class:`SmallStepMachine` pairs up per
 EC3 (fig 15).
 
-Tests assert lock-step agreement with the big-step interpreter (identical
-results *and* identical heap read/write traffic) and run invariant audits
-at step granularity.
+:class:`SmallStepMachine` takes the same :class:`~repro.runtime.machine.
+Scheduler` policies and :class:`~repro.runtime.trace.Tracer` as
+``Machine``, so the two can be run over the same schedule and their
+traces compared.  Tests also run invariant audits at step granularity.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import random
 
 from ..lang import ast
 from .disconnect import efficient_disconnected, naive_disconnected
 from .heap import Heap
-from .machine import DeadlockError, MachineError, ReservationViolation
-from .values import NONE, UNIT, Loc, RuntimeValue, is_loc
+from .machine import (
+    DeadlockError,
+    MachineError,
+    RandomScheduler,
+    ReservationViolation,
+    Scheduler,
+    pick_thread,
+)
+from .trace import RECV as TRACE_RECV
+from .trace import SEND as TRACE_SEND
+from .trace import Tracer
+from .values import NONE, UNIT, Loc, RuntimeValue, binop, is_loc
 
 # Thread statuses.
 RUNNING = "running"
@@ -217,6 +230,49 @@ class Config:
         check_reservations: bool = True,
         disconnect: str = "efficient",
     ):
+        fdef = program.func(func)
+        args = list(args)
+        if len(fdef.params) != len(args):
+            raise MachineError(f"{func}: arity mismatch")
+        env = Env({p.name: a for p, a in zip(fdef.params, args)})
+        self._setup(
+            program, heap, reservation, fdef.body, env, check_reservations,
+            disconnect,
+        )
+        for value in args:
+            if is_loc(value):
+                self._guard(value)
+
+    @classmethod
+    def for_expression(
+        cls,
+        program: ast.Program,
+        heap: Heap,
+        reservation: Set[Loc],
+        expr: ast.Expr,
+        env: Env,
+        check_reservations: bool = True,
+        disconnect: str = "efficient",
+    ) -> "Config":
+        """A configuration evaluating ``expr`` under an existing ``env``
+        (the REPL's session scope) instead of a function call."""
+        config = cls.__new__(cls)
+        config._setup(
+            program, heap, reservation, expr, env, check_reservations,
+            disconnect,
+        )
+        return config
+
+    def _setup(
+        self,
+        program: ast.Program,
+        heap: Heap,
+        reservation: Set[Loc],
+        expr: ast.Expr,
+        env: Env,
+        check_reservations: bool,
+        disconnect: str,
+    ) -> None:
         self.program = program
         self.heap = heap
         self.reservation = reservation
@@ -224,22 +280,22 @@ class Config:
         self._disconnected = (
             efficient_disconnected if disconnect == "efficient" else naive_disconnected
         )
-        # Verified-erasure fast path (§3.2): guard dispatch chosen once at
-        # construction, mirroring Interpreter.
+        # Verified-erasure fast path (§3.2): the guard is chosen once at
+        # construction, not branched on per location use.
         self._guard = self._guard_checked if check_reservations else self._guard_erased
-        fdef = program.func(func)
-        if len(fdef.params) != len(list(args)):
-            raise MachineError(f"{func}: arity mismatch")
-        for value in args:
-            if is_loc(value):
-                self._guard(value)
-        self.env = Env({p.name: a for p, a in zip(fdef.params, args)})
+        self.env = env
         self.kont: List[Frame] = []
         #: Either ("eval", expr) or ("apply", value).
-        self.control: Tuple = ("eval", fdef.body)
+        self.control: Tuple = ("eval", expr)
+        #: Position in the owning SmallStepMachine (what schedulers see).
+        self.ident = 0
         self.status = RUNNING
         self.result: Optional[RuntimeValue] = None
         self.steps = 0
+        #: Dynamic reservation checks performed, counted at the same sites
+        #: as the IR engine's guarded tier (one per location guarded, one
+        #: per send containment check).
+        self.reservation_checks = 0
         # Rendezvous scratch.
         self.pending_send: Optional[Tuple[str, Loc, Set[Loc]]] = None
         self.pending_recv_struct: Optional[str] = None
@@ -248,6 +304,7 @@ class Config:
 
     def _guard_checked(self, value: RuntimeValue) -> RuntimeValue:
         if is_loc(value):
+            self.reservation_checks += 1
             if value not in self.reservation:
                 raise ReservationViolation(
                     f"access to {value} outside the thread's reservation"
@@ -272,9 +329,11 @@ class Config:
             self._step_apply(self.control[1])
         return self.status
 
-    def run(self, max_steps: int = 10_000_000) -> RuntimeValue:
-        """Drive a single thread to completion (no send/recv)."""
-        for _ in range(max_steps):
+    def run(self, max_steps: Optional[int] = 10_000_000) -> RuntimeValue:
+        """Drive a single thread to completion (no send/recv); with
+        ``max_steps=None`` there is no transition budget."""
+        budget = itertools.count() if max_steps is None else range(max_steps)
+        for _ in budget:
             status = self.step()
             if status == DONE:
                 return self.result
@@ -409,9 +468,7 @@ class Config:
             self.kont.append(BinopRK(frame.op, value))
             self.control = ("eval", frame.right)
         elif isinstance(frame, BinopRK):
-            from .machine import Interpreter
-
-            self._apply(Interpreter._binop(frame.op, frame.left, value))
+            self._apply(binop(frame.op, frame.left, value))
         elif isinstance(frame, LetBindK):
             self.env.bind(frame.name, value)
             self._apply(UNIT)
@@ -508,10 +565,13 @@ class Config:
         elif isinstance(frame, SendK):
             root = self._as_loc(value)
             live = self.heap.live_set(root)
-            if self.check_reservations and not live <= self.reservation:
-                raise ReservationViolation(
-                    "send: the live set leaks outside the sender's reservation"
-                )
+            if self.check_reservations:
+                self.reservation_checks += 1
+                if not live <= self.reservation:
+                    raise ReservationViolation(
+                        "send: the live set leaks outside the sender's "
+                        "reservation"
+                    )
             self.pending_send = (
                 self.heap.obj(root).struct.name,
                 root,
@@ -526,6 +586,9 @@ class Config:
     def _enter_function(self, fdef: ast.FuncDef, args: List[RuntimeValue]) -> None:
         if len(args) != len(fdef.params):
             raise MachineError(f"{fdef.name}: arity mismatch")
+        for value in args:
+            if is_loc(value):
+                self._guard(value)
         self.kont.append(RetK(self.env))
         self.env = Env({p.name: a for p, a in zip(fdef.params, args)})
         self.control = ("eval", fdef.body)
@@ -583,18 +646,29 @@ class SmallStepMachine:
         disconnect: str = "efficient",
         seed: Optional[int] = None,
         audit_every: int = 0,
+        scheduler: Optional[Scheduler] = None,
+        tracer: Optional[Tracer] = None,
     ):
         """``audit_every=n`` re-checks the §6 invariants (pairwise-disjoint
         reservations, exact stored refcounts) every n scheduler steps —
-        an executable form of preservation, used by the soundness tests."""
+        an executable form of preservation, used by the soundness tests.
+
+        ``scheduler`` and ``tracer`` are the ones :class:`~repro.runtime.
+        machine.Machine` takes; every transition is one scheduling point."""
         self.program = program
-        self.heap = Heap()
+        self.heap = Heap(tracer=tracer)
         self.check_reservations = check_reservations
         self.disconnect = disconnect
-        self.rng = random.Random(seed)
+        self.scheduler = scheduler if scheduler is not None else RandomScheduler(seed)
         self.configs: List[Config] = []
+        self.waits: Dict[int, int] = {}
         self.audit_every = audit_every
         self.audits = 0
+
+    @property
+    def rng(self):
+        """The default :class:`RandomScheduler`'s random stream."""
+        return self.scheduler.rng
 
     def spawn(self, func: str, args: Sequence[RuntimeValue] = ()) -> Config:
         reservation: Set[Loc] = set()
@@ -610,6 +684,7 @@ class SmallStepMachine:
             check_reservations=self.check_reservations,
             disconnect=self.disconnect,
         )
+        config.ident = len(self.configs)
         self.configs.append(config)
         return config
 
@@ -622,6 +697,7 @@ class SmallStepMachine:
         return True
 
     def run(self, max_steps: int = 50_000_000) -> None:
+        tracer = self.heap.tracer
         for tick in range(max_steps):
             self._match_rendezvous()
             runnable = [c for c in self.configs if c.status == RUNNING]
@@ -634,12 +710,12 @@ class SmallStepMachine:
                 if not blocked:
                     return
                 states = ", ".join(
-                    f"config {i}: {c.status}"
-                    for i, c in enumerate(self.configs)
-                    if c.status in (BLOCKED_SEND, BLOCKED_RECV)
+                    f"config {c.ident}: {c.status}" for c in blocked
                 )
                 raise DeadlockError(f"all configurations blocked — {states}")
-            config = self.rng.choice(runnable)
+            config, _wait = pick_thread(self.scheduler, runnable, self.waits)
+            if tracer is not None:
+                tracer.current_thread = config.ident
             config.step()
             if self.audit_every and tick % self.audit_every == 0:
                 self._audit()
@@ -667,8 +743,14 @@ class SmallStepMachine:
             ]
             if not matching:
                 continue
-            receiver = self.rng.choice(matching)
+            receiver = self.scheduler.pick_receiver(sender, matching)
             receivers.remove(receiver)
+            tracer = self.heap.tracer
+            if tracer is not None:
+                tracer.record(TRACE_SEND, root, struct=struct, thread=sender.ident)
+                tracer.record(
+                    TRACE_RECV, root, struct=struct, thread=receiver.ident
+                )
             sender.complete_send()
             receiver.complete_recv(root, live)
 
@@ -681,7 +763,9 @@ def run_function_smallstep(
     check_reservations: bool = True,
     disconnect: str = "efficient",
 ) -> Tuple[RuntimeValue, Config]:
-    """Single-threaded small-step execution to completion."""
+    """Single-threaded small-step execution to completion (a tracer on
+    ``heap`` records the same events :func:`~repro.runtime.machine.
+    run_function` does)."""
     heap = heap if heap is not None else Heap()
     config = Config(
         program,

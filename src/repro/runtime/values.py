@@ -9,6 +9,7 @@ of ``T?``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -71,3 +72,33 @@ def is_none_value(value: RuntimeValue) -> bool:
 
 def is_loc(value: RuntimeValue) -> bool:
     return isinstance(value, Loc)
+
+
+_BINOPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.floordiv,
+    "%": operator.mod,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "&&": lambda left, right: bool(left) and bool(right),
+    "||": lambda left, right: bool(left) or bool(right),
+}
+
+
+def binop(op: str, left: RuntimeValue, right: RuntimeValue) -> RuntimeValue:
+    """Apply a primitive binary operator.  Shared by the small-step machine
+    and IR constant folding; the bytecode engine inlines the same cases."""
+    fn = _BINOPS.get(op)
+    if fn is None or (op in ("/", "%") and right == 0):
+        from .machine import MachineError  # machine imports this module
+
+        if fn is None:
+            raise MachineError(f"unknown operator {op!r}")
+        raise MachineError(("division" if op == "/" else "modulo") + " by zero")
+    return fn(left, right)

@@ -7,8 +7,8 @@ as JSON — the gateway is a thin translation layer over
 admission semantics to socket clients: the same bounded queue, the same
 per-request timeout, the same drain behavior.  One shared budget, two
 wire formats.  Defaults match too: a ``/v1/run`` body without an
-``engine`` key gets the server-side default (the compiled bytecode
-engine) and the response's ``engine`` field reports what actually ran.
+``engine`` key runs on the compiled bytecode engine, as a socket
+request does.
 
 Error codes map onto HTTP statuses clients already know how to retry:
 

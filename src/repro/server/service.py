@@ -183,18 +183,12 @@ class Service:
         ):
             raise RpcError(E_INVALID, "params.args must be a list of ints/bools")
         erased = bool(params.get("erased", False))
-        # Warm serving defaults to the compiled bytecode engine: the
-        # session LRU plus the shared compile cache make repeat runs hit
-        # precompiled modules, and RunResult.engine reports what ran so
-        # clients always see the effective choice.  Explicit "tree" still
-        # selects the reference interpreter.
-        engine = params.get("engine")
-        if engine is None:
-            engine = "ir"
-        if engine not in ("tree", "ir"):
-            raise RpcError(
-                E_INVALID, "params.engine must be 'tree' or 'ir'"
-            )
+        # The compiled bytecode engine is the only one; the session LRU
+        # plus the shared compile cache make repeat runs hit precompiled
+        # modules.
+        engine = params.get("engine", "ir")
+        if engine != "ir":
+            raise RpcError(E_INVALID, "params.engine must be 'ir'")
         budget = params.get("max_steps")
         if budget is not None and (not isinstance(budget, int) or budget <= 0):
             raise RpcError(E_INVALID, "params.max_steps must be a positive int")

@@ -1,18 +1,13 @@
-"""Tests for the cached control-/data-flow analysis layer
-(``repro.core.analysis``): CFG shapes, memoized ``uses`` with telemetry,
-reaching definitions, the program call graph, and the ``for_function``
-escape hatch for synthetic (REPL) definitions.
+"""Tests for the cached data-flow analysis layer
+(``repro.core.analysis``): memoized ``uses`` with telemetry and the
+``for_function`` escape hatch for synthetic (REPL) definitions.
 """
 
 import pytest
 
 from repro import telemetry
-from repro.core.analysis import CFG, FunctionAnalysis, ProgramAnalysis
+from repro.core.analysis import FunctionAnalysis, ProgramAnalysis
 from repro.lang import ast, parse_program
-
-STRAIGHT = """
-def f(x : int) : int { x + 1 }
-"""
 
 BRANCHY = """
 def f(x : int) : int {
@@ -52,41 +47,6 @@ def analysis_for(source, name="f"):
     return ProgramAnalysis(program).function(name), program
 
 
-class TestCFG:
-    def test_straight_line_has_linear_edges(self):
-        analysis, _ = analysis_for(STRAIGHT)
-        cfg = analysis.cfg
-        assert len(cfg.nodes) >= 1
-        # Entry is the body; every node has at most one successor.
-        assert all(len(node.succs) <= 1 for node in cfg.nodes)
-        assert cfg.exits, "straight-line code must have an exit"
-
-    def test_branch_has_two_successors_and_joined_exits(self):
-        analysis, _ = analysis_for(BRANCHY)
-        cfg = analysis.cfg
-        forks = [node for node in cfg.nodes if len(node.succs) == 2]
-        assert forks, "if/else should fork control flow"
-
-    def test_while_has_back_edge(self):
-        analysis, _ = analysis_for(LOOPY)
-        cfg = analysis.cfg
-        back_edges = [
-            (node.index, succ)
-            for node in cfg.nodes
-            for succ in node.succs
-            if succ < node.index
-        ]
-        assert back_edges, "while loop must produce a back-edge"
-
-    def test_node_index_is_identity_keyed(self):
-        analysis, program = analysis_for(STRAIGHT)
-        body = program.func("f").body
-        assert analysis.cfg.node_index(body) == 0
-        # A structurally equal but distinct node is not a control point.
-        other = parse_program(STRAIGHT).func("f").body
-        assert analysis.cfg.node_index(other) is None
-
-
 class TestUsesMemo:
     def test_memoized_and_counted(self):
         analysis, program = analysis_for(BRANCHY)
@@ -105,60 +65,6 @@ class TestUsesMemo:
         analysis, program = analysis_for(LOOPY)
         for node in ast.walk(program.func("f").body):
             assert analysis.uses(node) == frozenset(raw_uses(node))
-
-
-class TestReachingDefs:
-    def test_params_reach_entry_as_minus_one(self):
-        analysis, program = analysis_for(STRAIGHT)
-        body = program.func("f").body
-        facts = analysis.reaching_defs(body)
-        assert ("x", -1) in facts
-
-    def test_assignment_kills_param_definition(self):
-        analysis, program = analysis_for(LOOPY)
-        fdef = program.func("f")
-        # The final expression of the body: after the loop, `n` may come
-        # from the parameter (zero iterations) or the loop assignment.
-        last = fdef.body.body[-1]
-        facts = analysis.reaching_defs(last)
-        n_sites = {site for name, site in facts if name == "n"}
-        assert len(n_sites) >= 2, "param def and loop redef should both reach"
-
-    def test_non_control_point_is_empty(self):
-        analysis, _ = analysis_for(STRAIGHT)
-        stray = parse_program(STRAIGHT).func("f").body
-        assert analysis.reaching_defs(stray) == frozenset()
-
-    def test_computed_once(self):
-        analysis, program = analysis_for(BRANCHY)
-        body = program.func("f").body
-        reg = telemetry.enable()
-        analysis.reaching_defs(body)
-        analysis.reaching_defs(body)
-        telemetry.disable()
-        assert reg.counters["analysis.reaching.computed"].value == 1
-
-
-class TestCallGraph:
-    def test_edges_and_inverse(self):
-        program = parse_program(CALLS)
-        analysis = ProgramAnalysis(program)
-        graph = analysis.call_graph()
-        assert graph["top"] == frozenset({"mid", "leaf"})
-        assert graph["mid"] == frozenset({"leaf"})
-        assert graph["lone"] == frozenset()
-        assert analysis.callees("mid") == frozenset({"leaf"})
-        assert analysis.callers("leaf") == frozenset({"mid", "top"})
-        assert analysis.callers("top") == frozenset()
-
-    def test_built_once(self):
-        program = parse_program(CALLS)
-        analysis = ProgramAnalysis(program)
-        reg = telemetry.enable()
-        analysis.call_graph()
-        analysis.call_graph()
-        telemetry.disable()
-        assert reg.counters["analysis.callgraph.built"].value == 1
 
 
 class TestProgramAnalysisCache:
@@ -192,4 +98,3 @@ class TestProgramAnalysisCache:
             analysis.function(name)
         telemetry.disable()
         assert reg.counters["analysis.functions"].value == len(program.funcs)
-        assert reg.counters["analysis.cfg.nodes"].value > 0

@@ -4,7 +4,7 @@ Hypothesis composes random FCL programs from statement templates that are
 well-typed *by construction* (they never consume a value that is reused,
 never leak a parameter, and keep branch effects symmetric).  The checker
 must accept every one, the verifier must validate every derivation, and
-the interpreter must run them with zero reservation faults and exact
+the runtime must run them with zero reservation faults and exact
 refcounts.
 
 This guards against the checker rejecting reasonable programs (the paper's
@@ -160,7 +160,7 @@ def test_generated_programs_accepted_verified_and_run(source):
 @given(programs())
 @settings(max_examples=60, deadline=None)
 def test_generated_programs_agree_across_semantics(source):
-    """Both runtimes (big-step generators, fig 7 small-step machine)
+    """Both runtimes (the bytecode engine, the fig 7 small-step machine)
     produce identical results and identical heap traffic on arbitrary
     generated programs."""
     from repro.runtime.smallstep import run_function_smallstep

@@ -25,7 +25,7 @@ CORPUS = Path(__file__).parent.parent / "src" / "repro" / "corpus"
 
 class Runner:
     """Drives ``run_function`` in one guard mode, accumulating the number
-    of reservation checks the interpreter actually performed."""
+    of reservation checks the engine actually performed."""
 
     def __init__(self, program, heap, check):
         self.program = program
@@ -126,7 +126,7 @@ def test_every_corpus_program_has_a_workload():
 def test_guarded_and_erased_runs_agree(name):
     """Results and the full observable heap-event stream are invariant
     under erasure — and only the guarded run pays for any checks (the
-    erased dispatch is bound once at interpreter construction)."""
+    erased module is compiled without check instructions)."""
     program = load_program(name)
     runs = {}
     for check in (True, False):

@@ -1,10 +1,10 @@
-"""The bytecode engine (``--engine ir``): compile pipeline and parity.
+"""The bytecode engine: compile pipeline and parity.
 
-The IR engine must be observationally indistinguishable from the tree
-interpreter: identical results, byte-identical heap-event traces, and the
-same reservation-check counts in the observable tier, over the whole
-corpus and under concurrent scheduling.  The full optimization tier
-(erased, untraced) may read the heap less often but must agree on results
+The IR engine must be observationally indistinguishable from the fig 7
+small-step reference machine: identical results and byte-identical
+heap-event traces in the guarded tier and in the traced full tier, over
+the whole corpus and under concurrent scheduling.  The untraced full
+optimization tier may read the heap less often but must agree on results
 and on the shape of the final heap.  Budgets (``max_steps``) are enforced
 inside the dispatch loop itself.
 """
@@ -41,9 +41,20 @@ from repro.runtime.machine import (
     StepLimitExceeded,
     run_function,
 )
+from repro.runtime.smallstep import (
+    BLOCKED_RECV,
+    BLOCKED_SEND,
+    DONE,
+    Config,
+    SmallStepMachine,
+)
 from repro.runtime.trace import Tracer
 from repro.server import Service
-from repro.server.protocol import RpcError
+from repro.server.protocol import E_INVALID, RpcError
+
+#: The engine name the run surfaces accepted before the tree interpreter
+#: was retired; every surface must now reject it.
+RETIRED_ENGINE = "tree"
 
 CORPUS = Path(__file__).parent.parent / "src" / "repro" / "corpus"
 
@@ -108,8 +119,19 @@ def _int_entry_points(program):
 
 
 def _run(program, fname, args, *, engine, checked, traced):
+    """One single-threaded run whose sends go to an implicit sink, on the
+    small-step reference (``engine="smallstep"``, always guarded) or on
+    the IR engine."""
     tracer = Tracer() if traced else None
     heap = Heap(tracer=tracer)
+    if engine == "smallstep":
+        config = Config(program, heap, set(heap.locations()), fname,
+                        list(args))
+        while config.step() != DONE:
+            assert config.status != BLOCKED_RECV, fname
+            if config.status == BLOCKED_SEND:
+                config.complete_send()
+        return config.result, config, heap, tracer
     result, interp = run_function(
         program, fname, list(args), heap=heap,
         check_reservations=checked, sink_sends=True,
@@ -118,23 +140,29 @@ def _run(program, fname, args, *, engine, checked, traced):
     return result, interp, heap, tracer
 
 
+def _trace_bytes(run):
+    return json.dumps(list(run[3].to_dicts()), sort_keys=True)
+
+
 class TestCorpusParity:
     @pytest.mark.parametrize("name", corpus_names())
     def test_traced_runs_are_byte_identical(self, name):
-        """Observable tier: same results, traces, and check counts."""
+        """Every entry point: the small-step reference and the IR engine's
+        guarded tier and traced full tier agree on results and traces, and
+        the guarded tier performs exactly the reference's check count."""
         program = parse_program(load_source(name))
         ran = 0
         for fname, args in _int_entry_points(program):
-            tree = _run(program, fname, args, engine="tree", checked=True,
-                        traced=True)
-            ir = _run(program, fname, args, engine="ir", checked=True,
-                      traced=True)
-            assert repr(tree[0]) == repr(ir[0]), fname
-            assert tree[1].stats.reservation_checks == \
-                ir[1].stats.reservation_checks, fname
-            tree_bytes = json.dumps(list(tree[3].to_dicts()), sort_keys=True)
-            ir_bytes = json.dumps(list(ir[3].to_dicts()), sort_keys=True)
-            assert tree_bytes == ir_bytes, fname
+            ref = _run(program, fname, args, engine="smallstep",
+                       checked=True, traced=True)
+            for checked in (True, False):
+                ir = _run(program, fname, args, engine="ir",
+                          checked=checked, traced=True)
+                assert repr(ref[0]) == repr(ir[0]), (fname, checked)
+                assert _trace_bytes(ref) == _trace_bytes(ir), (fname, checked)
+                if checked:
+                    assert ref[1].reservation_checks == \
+                        ir[1].stats.reservation_checks, fname
             ran += 1
         assert ran > 0
 
@@ -143,12 +171,12 @@ class TestCorpusParity:
         """Full tier (RLE + mem2var live): results and heap shape match."""
         program = parse_program(load_source(name))
         for fname, args in _int_entry_points(program):
-            tree = _run(program, fname, args, engine="tree", checked=False,
-                        traced=False)
+            ref = _run(program, fname, args, engine="smallstep",
+                       checked=True, traced=False)
             ir = _run(program, fname, args, engine="ir", checked=False,
                       traced=False)
-            assert repr(tree[0]) == repr(ir[0]), fname
-            assert len(tree[2]) == len(ir[2]), fname
+            assert repr(ref[0]) == repr(ir[0]), fname
+            assert len(ref[2]) == len(ir[2]), fname
 
 
 class TestBudgets:
@@ -173,8 +201,7 @@ class TestConcurrency:
         program = parse_program(PINGPONG)
         results = []
         for _ in range(2):
-            machine = Machine(program, scheduler=ScriptedScheduler(),
-                              engine="ir")
+            machine = Machine(program, scheduler=ScriptedScheduler())
             pinger = machine.spawn("pinger", [5])
             machine.spawn("ponger", [5])
             machine.run()
@@ -183,18 +210,19 @@ class TestConcurrency:
 
     def test_traced_machines_agree_across_engines(self):
         """Heap-event traces are yield-granularity-independent, so traced
-        runs byte-match between engines under the same seed."""
+        runs byte-match between the small-step machine and the IR
+        ``Machine`` under the same seed."""
         traces = {}
-        for engine in ("tree", "ir"):
+        for engine, make in (("smallstep", SmallStepMachine), ("ir", Machine)):
             tracer = Tracer()
             program = parse_program(PINGPONG)
-            machine = Machine(program, seed=3, tracer=tracer, engine=engine)
+            machine = make(program, seed=3, tracer=tracer)
             machine.spawn("pinger", [4])
             machine.spawn("ponger", [4])
             machine.run()
             traces[engine] = json.dumps(list(tracer.to_dicts()),
                                         sort_keys=True)
-        assert traces["tree"] == traces["ir"]
+        assert traces["smallstep"] == traces["ir"]
 
 
 class TestCompiler:
@@ -231,12 +259,12 @@ class TestCompiler:
         assert module.counters["fields_promoted"] == 1
         assert module.counters["loads_eliminated"] > 0
         # The allocation itself stays: object counts must not change.
-        tree = _run(program, "spin", [10], engine="tree", checked=False,
-                    traced=False)
+        ref = _run(program, "spin", [10], engine="smallstep", checked=True,
+                   traced=False)
         ir = _run(program, "spin", [10], engine="ir", checked=False,
                   traced=False)
-        assert tree[0] == ir[0] == 10
-        assert len(tree[2]) == len(ir[2]) == 1
+        assert ref[0] == ir[0] == 10
+        assert len(ref[2]) == len(ir[2]) == 1
 
     def test_compile_cache_is_per_configuration(self):
         program = parse_program(SPIN)
@@ -254,16 +282,50 @@ class TestSurfaces:
         assert result.engine == "ir"
         restored = api.RunResult.from_dict(result.to_dict())
         assert restored.engine == "ir"
-        # Documents written before the field existed default to tree.
+        # A document without the field reads as the only engine.
         legacy = dict(result.to_dict())
         del legacy["engine"]
-        assert api.RunResult.from_dict(legacy).engine == "tree"
+        assert api.RunResult.from_dict(legacy).engine == "ir"
 
     def test_api_rejects_unknown_engine(self):
         result = api.run(SPIN, "spin", [7], engine="jit")
         assert not result.ok
         assert result.diagnostics[0].code == "MachineError"
         assert "unknown engine" in result.diagnostics[0].message
+
+    def test_api_rejects_retired_tree_engine(self):
+        import repro.runtime
+
+        assert not hasattr(repro.runtime, "Interpreter")
+        result = api.run(SPIN, "spin", [7], engine=RETIRED_ENGINE)
+        assert not result.ok
+        assert result.engine == RETIRED_ENGINE
+        assert result.diagnostics[0].code == "MachineError"
+        assert result.diagnostics[0].message == (
+            "unknown engine 'tree'; expected 'ir'"
+        )
+
+    def test_service_rejects_retired_tree_engine(self):
+        with pytest.raises(RpcError, match="params.engine") as rejected:
+            Service().run(
+                {"source": SPIN, "function": "spin", "args": [6],
+                 "engine": RETIRED_ENGINE}
+            )
+        assert rejected.value.code == E_INVALID
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "FILE", "spin", "3", "--engine", "ir"],
+        ["client", "--connect", "unix:/nonexistent", "run", "FILE", "spin",
+         "3", "--engine", "ir"],
+    ])
+    def test_cli_engine_flag_is_a_usage_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "spin.fcl"
+        path.write_text(SPIN)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 64
+        assert "--engine" in capsys.readouterr().err
 
     def test_service_run_engine(self):
         service = Service()
@@ -279,38 +341,47 @@ class TestSurfaces:
             )
 
     def test_cli_trace_json_byte_identical_across_engines(self, tmp_path):
+        """The guarded and erased (traced full tier) exports are the
+        small-step reference's trace, byte for byte."""
         sll = str(CORPUS / "sll.fcl")
         out = {}
-        for engine in ("tree", "ir"):
-            path = tmp_path / f"{engine}.jsonl"
-            code = main(["run", sll, "make_list", "8",
-                         "--engine", engine, "--trace-json", str(path)])
+        for tier in ("guarded", "erased"):
+            path = tmp_path / f"{tier}.jsonl"
+            extra = ["--erased"] if tier == "erased" else []
+            code = main(["run", sll, "make_list", "8", *extra,
+                         "--trace-json", str(path)])
             assert code == 0
-            out[engine] = path.read_bytes()
-        assert out["tree"] == out["ir"]
+            out[tier] = path.read_bytes()
+        ref = _run(parse_program(load_source("sll")), "make_list", [8],
+                   engine="smallstep", checked=True, traced=True)
+        expected = "".join(
+            json.dumps(event) + "\n" for event in ref[3].to_dicts()
+        ).encode()
+        assert out["guarded"] == out["erased"] == expected
 
-    def test_cli_paranoid_ir_cross_checks_tree(self, capsys):
+    def test_cli_paranoid_cross_checks_smallstep(self, capsys):
         rb = str(CORPUS / "rbtree.fcl")
-        code = main(["run", rb, "build_tree", "25", "7",
-                     "--engine", "ir", "--paranoid"])
+        code = main(["run", rb, "build_tree", "25", "7", "--paranoid"])
         assert code == 0
         err = capsys.readouterr().err
-        assert "traces identical" in err
+        assert "paranoid: small-step and ir traces identical" in err
+        assert "paranoid: guarded and erased traces identical" in err
 
     def test_fuzz_campaign_reports_engines(self):
         report = run_campaign(FuzzConfig(seed=11, budget=8))
-        assert report["engines"] == ["tree", "ir"]
+        assert report["engines"] == ["smallstep", "ir"]
         assert report["clean"]
 
     def test_bench_ir_smoke(self):
         rows = bench_ir(repeats=1, small=True)
         assert [row["workload"] for row in rows] == [
-            "rbtree-build", "rbtree-query", "chain-traverse",
+            "rbtree-build", "rbtree-query", "chain-traverse", "dll-walk",
         ]
         for row in rows:
-            for key in ("tree_checked_ms", "tree_erased_ms",
-                        "ir_checked_ms", "ir_erased_ms", "compile_ms"):
+            for key in ("ir_checked_ms", "ir_erased_ms", "compile_ms"):
                 assert row[key] > 0, key
+            assert row["reservation_checks_elided"] > 0
+            assert not any(k.startswith(("tree_", "speedup_")) for k in row)
             assert row["checks_erased"] > 0
             assert row["instructions_emitted"] > 0
 
@@ -350,12 +421,12 @@ class TestSecondGen:
         }
         assert OP_LOADV in opcodes
         assert OP_CALL2 in opcodes
-        tree = _run(program, "build_tree", [30, 7], engine="tree",
-                    checked=False, traced=False)
+        ref = _run(program, "build_tree", [30, 7], engine="smallstep",
+                   checked=True, traced=False)
         ir = _run(program, "build_tree", [30, 7], engine="ir",
                   checked=False, traced=False)
-        assert repr(tree[0]) == repr(ir[0])
-        assert len(tree[2]) == len(ir[2])
+        assert repr(ref[0]) == repr(ir[0])
+        assert len(ref[2]) == len(ir[2])
 
     def test_budget_binds_on_straight_line_functions(self):
         program = parse_program(
@@ -421,7 +492,6 @@ class TestSecondGen:
             reply = service.run(
                 {"source": first, "function": "spin", "args": [5]}
             )
-            # Warm serving defaults to the compiled engine.
             assert reply["engine"] == "ir"
             service.run({"source": second, "function": "spun", "args": [5]})
             before = reg.value("machine.engine.compile_cache.hits")

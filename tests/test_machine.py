@@ -1,15 +1,15 @@
-"""Interpreter and heap semantics tests."""
+"""Evaluation and heap semantics tests."""
 
 import pytest
 
 from repro.lang import parse_program
 from repro.runtime.heap import Heap, HeapError
 from repro.runtime.machine import (
-    Interpreter,
     MachineError,
     ReservationViolation,
     run_function,
 )
+from repro.runtime.smallstep import run_function_smallstep
 from repro.runtime.values import NONE, UNIT, Loc
 
 STRUCTS = """
@@ -31,13 +31,25 @@ class TestEvaluation:
     def test_division_truncates(self):
         assert run("7 / 2")[0] == 3
 
+    @staticmethod
+    def _raises_everywhere(body, message):
+        """The small-step reference, guarded IR and erased IR raise the
+        same MachineError message."""
+        program = parse_program(STRUCTS + f"def fn() : int {{ {body} }}")
+        executors = (
+            lambda: run_function_smallstep(program, "fn"),
+            lambda: run_function(program, "fn"),
+            lambda: run_function(program, "fn", check_reservations=False),
+        )
+        for execute in executors:
+            with pytest.raises(MachineError, match=f"^{message}$"):
+                execute()
+
     def test_division_by_zero(self):
-        with pytest.raises(MachineError):
-            run("1 / 0")
+        self._raises_everywhere("1 / 0", "division by zero")
 
     def test_modulo_by_zero(self):
-        with pytest.raises(MachineError):
-            run("1 % 0")
+        self._raises_everywhere("1 % 0", "modulo by zero")
 
     def test_comparisons(self):
         assert run("(1 < 2) && (2 <= 2) && (3 > 2) && (3 >= 3)", ret="bool")[0]

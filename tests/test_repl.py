@@ -92,9 +92,9 @@ class TestTrackingAcrossInputs:
 
     def test_send_removes_objects_from_reservation(self, session):
         session.eval_expression("let d = new data(v = 1)")
-        before = len(session.interp.reservation)
+        before = len(session.reservation)
         session.eval_expression("send(d)")
-        assert len(session.interp.reservation) == before - 1
+        assert len(session.reservation) == before - 1
 
     def test_recv_rejected(self, session):
         with pytest.raises(ReplError):

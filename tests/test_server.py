@@ -27,6 +27,10 @@ from repro.corpus.negative import NEGATIVE_CASES
 from repro.server import Server, ServerConfig, ServerThread, Service
 from repro.server.protocol import RPC_SCHEMA
 
+#: The engine name the run surfaces accepted before the tree interpreter
+#: was retired; every surface must now reject it.
+RETIRED_ENGINE = "tree"
+
 GOOD = """
 struct data { v : int; }
 def add(a : int, b : int) : int { a + b }
@@ -127,9 +131,9 @@ class TestParity:
                     "run",
                     {"source": GOOD, "function": "add", "args": [20, 22]},
                 )
-                # Omitting `engine` selects the warm-serving default: the
-                # compiled bytecode engine.  Replay locally on the same
-                # engine so the step budget is meaningful.
+                # Omitting `engine` runs the compiled bytecode engine, the
+                # only one; replay locally on it so the step budget is
+                # meaningful.
                 assert remote["engine"] == "ir"
                 local = api.run(
                     GOOD,
@@ -140,8 +144,10 @@ class TestParity:
                 )
                 assert remote["ok"] and remote["value"] == "42"
                 assert local.ok and local.value == "42"
-                pinned = client.run(GOOD, "add", [20, 22], engine="tree")
-                assert pinned.ok and pinned.engine == "tree"
+                # The retired tree interpreter is a typed rejection.
+                with pytest.raises(RemoteError) as rejected:
+                    client.run(GOOD, "add", [20, 22], engine=RETIRED_ENGINE)
+                assert rejected.value.code == "invalid-request"
                 tight = client.run(GOOD, "add", [1, 2], max_steps=1)
                 assert not tight.ok
                 assert tight.diagnostics[0].code == "StepLimitExceeded"

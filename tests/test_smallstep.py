@@ -1,4 +1,4 @@
-"""Small-step machine tests: agreement with the big-step interpreter,
+"""Small-step machine tests: agreement with the bytecode engine,
 step-granular invariants, constant Python stack, fig 7 dynamic checks."""
 
 import pytest
@@ -145,8 +145,8 @@ class TestCorpusAgreement:
 
 class TestConstantStack:
     def test_deep_recursion_without_python_recursion(self):
-        # A 20,000-deep FCL recursion: impossible on the generator
-        # interpreter without an enormous recursion limit; trivial here.
+        # A 20,000-deep FCL recursion runs in constant Python stack: the
+        # continuation is an explicit frame list, not Python recursion.
         import sys
 
         program = parse_program(
@@ -170,6 +170,16 @@ class TestConstantStack:
             program, "remove_tail", [head], heap=heap
         )
         assert heap.obj(payload).fields["v"] == 5_000
+
+    def test_run_budget_is_optional(self):
+        program = parse_program(
+            "def count(n : int) : int { if (n == 0) { 0 } else { 1 + count(n - 1) } }"
+        )
+        with pytest.raises(MachineError, match="step budget exhausted"):
+            Config(program, Heap(), set(), "count", [50]).run(max_steps=10)
+        config = Config(program, Heap(), set(), "count", [50])
+        assert config.run(max_steps=None) == 50
+        assert config.steps > 10
 
 
 class TestReservations:
