@@ -47,7 +47,7 @@ from .runtime.machine import (
 )
 from .verifier.verifier import VerificationError, Verifier
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 
 __all__ = [

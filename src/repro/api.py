@@ -11,15 +11,16 @@ serve`` RPC daemon — one typed surface:
 * :func:`verify` → :class:`VerifyResult`
 * :func:`run`    → :class:`RunResult`
 
-:func:`check` and :func:`verify` accept ``jobs=``/``mode=`` to fan a
-program's functions out through the batch pipeline — ``mode="thread"``
-checks them concurrently in-process against one shared session (safe
-because the checker core is persistent), ``mode="process"`` uses a
-process pool.  Results are identical to the serial path by the pipeline
-determinism contract.  :class:`Session` is the warm handle for
-embedders: parse + elaborate once, then ``check``/``verify``/``run``
-repeatedly (and concurrently) without re-paying program-level costs or
-importing ``repro.pipeline`` internals.
+:func:`check` and :func:`verify` always run a
+:class:`~repro.pipeline.Pipeline` over the program's session, function
+by function against the elaborated function types; a caller that wants
+a process pool or a certificate cache (the CLI's ``--jobs``/``--cache``,
+the daemon's resident cache) passes its own ``pipeline=``.  Results are
+identical whatever the pipeline by its determinism contract.
+:class:`Session` is the warm handle for embedders: parse + elaborate
+once, then ``check``/``verify``/``run`` repeatedly (and concurrently)
+without re-paying program-level costs or importing ``repro.pipeline``
+internals.
 
 No facade function raises on a *program* problem: parse errors, type
 errors, verification failures, and runtime faults all come back as
@@ -184,6 +185,21 @@ class CheckResult:
             diagnostics=_diagnostics_from(data["diagnostics"]),
         )
 
+    @classmethod
+    def from_program_result(
+        cls, result, filename: str, functions: int
+    ) -> "CheckResult":
+        """The facade form of a pipeline
+        :class:`~repro.pipeline.ProgramResult` for a program of
+        ``functions`` functions."""
+        if not result.ok:
+            return cls(
+                ok=False,
+                functions=functions,
+                diagnostics=[result.error.to_diagnostic(filename)],
+            )
+        return cls(ok=True, functions=functions, nodes=result.nodes)
+
     def summary(self, file: str) -> str:
         return (
             f"{file}: OK — {self.functions} functions, "
@@ -222,6 +238,25 @@ class VerifyResult:
             nodes=data["nodes"],
             verified=data["verified"],
             diagnostics=_diagnostics_from(data["diagnostics"]),
+        )
+
+    @classmethod
+    def from_program_result(
+        cls, result, filename: str, functions: int
+    ) -> "VerifyResult":
+        """As :meth:`CheckResult.from_program_result`, plus the count of
+        derivation nodes the verifier checked."""
+        if not result.ok:
+            return cls(
+                ok=False,
+                functions=functions,
+                diagnostics=[result.error.to_diagnostic(filename)],
+            )
+        return cls(
+            ok=True,
+            functions=functions,
+            nodes=result.nodes,
+            verified=result.verified,
         )
 
     def summary(self, file: str) -> str:
@@ -342,10 +377,6 @@ def _traced(name: str):
     return decorate
 
 
-def _parse_failure(exc: BaseException, filename: str) -> List[Diagnostic]:
-    return [Diagnostic.from_exception(exc, file=filename)]
-
-
 def _make_session(
     source: str,
     filename: str,
@@ -362,58 +393,35 @@ def _make_session(
         if program is None:
             program = parse_program(source)
         return ProgramSession(source, program=program, profile=profile), []
-    except (ParseError, LexError) as exc:
-        return None, _parse_failure(exc, filename)
-    except TypeError_ as exc:
-        return None, _parse_failure(exc, filename)
+    except (ParseError, LexError, TypeError_) as exc:
+        return None, [Diagnostic.from_exception(exc, file=filename)]
 
 
-def _wants_parallel(jobs: Optional[int], mode: Optional[str]) -> bool:
-    return (jobs is not None and jobs != 1) or mode not in (None, "serial")
-
-
-def _pipeline_result(
+def _run_pipeline(
+    result_cls,
     source: str,
     filename: str,
     program,
     profile: CheckProfile,
-    jobs: Optional[int],
-    mode: Optional[str],
-    want_verify: bool,
+    session,
+    pipeline,
+    verify: bool,
 ):
-    """Route one program through the batch pipeline and translate its
-    :class:`~repro.pipeline.ProgramResult` into the facade's result type
-    (same numbers as the serial path — the pipeline determinism
-    contract)."""
-    from .lang import ParseError, parse_program
-    from .lang.lexer import LexError
-    from .pipeline import Pipeline
+    """Check (and, with ``verify``, verify) one program through
+    ``pipeline`` — a serial one without a cache when ``None`` — and
+    convert the outcome to ``result_cls``."""
+    from .pipeline.runner import Pipeline
 
-    result_cls = VerifyResult if want_verify else CheckResult
-    if program is None:
-        try:
-            program = parse_program(source)
-        except (ParseError, LexError) as exc:
-            return result_cls(ok=False, diagnostics=_parse_failure(exc, filename))
-    with Pipeline(
-        jobs=jobs, mode=mode, verify=want_verify, profile=profile
-    ) as pipeline:
-        result = pipeline.run(filename, source, program)
-    functions = len(program.funcs)
-    if not result.ok:
-        return result_cls(
-            ok=False,
-            functions=functions,
-            diagnostics=[result.error.to_diagnostic(filename)],
-        )
-    if want_verify:
-        return VerifyResult(
-            ok=True,
-            functions=functions,
-            nodes=result.nodes,
-            verified=result.verified,
-        )
-    return CheckResult(ok=True, functions=functions, nodes=result.nodes)
+    if session is None:
+        session, failed = _make_session(source, filename, program, profile)
+        if session is None:
+            return result_cls(ok=False, diagnostics=failed)
+    result = (pipeline or Pipeline()).run(
+        filename, session.source, session=session, verify=verify
+    )
+    return result_cls.from_program_result(
+        result, filename, len(session.program.funcs)
+    )
 
 
 @_traced("api.check")
@@ -424,39 +432,18 @@ def check(
     program=None,
     profile: CheckProfile = DEFAULT_PROFILE,
     session=None,
-    jobs: Optional[int] = None,
-    mode: Optional[str] = None,
+    pipeline=None,
 ) -> CheckResult:
     """Parse and type-check ``source``; never raises on program errors.
 
     ``session`` lets warm callers (the server) reuse a parsed/elaborated
-    :class:`~repro.pipeline.ProgramSession`; results are identical.
-    ``jobs``/``mode`` fan the functions out through the batch pipeline
-    (``mode="thread"`` shares one session across worker threads,
-    ``mode="process"`` forks a pool); results are again identical.
+    :class:`~repro.pipeline.ProgramSession`; ``pipeline`` supplies a
+    :class:`~repro.pipeline.Pipeline` with a process pool or a
+    certificate cache.  Results are identical either way.
     """
-    if _wants_parallel(jobs, mode):
-        if program is None and session is not None:
-            program = session.program
-        return _pipeline_result(
-            source, filename, program, profile, jobs, mode, want_verify=False
-        )
-    if session is None:
-        session, failed = _make_session(source, filename, program, profile)
-        if session is None:
-            return CheckResult(ok=False, diagnostics=failed)
-    try:
-        derivation = session.checker.check_program()
-    except TypeError_ as exc:
-        return CheckResult(
-            ok=False,
-            functions=len(session.program.funcs),
-            diagnostics=[Diagnostic.from_exception(exc, file=filename)],
-        )
-    return CheckResult(
-        ok=True,
-        functions=len(session.program.funcs),
-        nodes=derivation.node_count(),
+    return _run_pipeline(
+        CheckResult, source, filename, program, profile, session, pipeline,
+        verify=False,
     )
 
 
@@ -468,47 +455,13 @@ def verify(
     program=None,
     profile: CheckProfile = DEFAULT_PROFILE,
     session=None,
-    jobs: Optional[int] = None,
-    mode: Optional[str] = None,
+    pipeline=None,
 ) -> VerifyResult:
     """Check, then independently verify the derivation (§5).
-
-    ``jobs``/``mode`` parallelize per function exactly like
-    :func:`check`."""
-    from .verifier import VerificationError
-
-    if _wants_parallel(jobs, mode):
-        if program is None and session is not None:
-            program = session.program
-        return _pipeline_result(
-            source, filename, program, profile, jobs, mode, want_verify=True
-        )
-    if session is None:
-        session, failed = _make_session(source, filename, program, profile)
-        if session is None:
-            return VerifyResult(ok=False, diagnostics=failed)
-    try:
-        derivation = session.checker.check_program()
-    except TypeError_ as exc:
-        return VerifyResult(
-            ok=False,
-            functions=len(session.program.funcs),
-            diagnostics=[Diagnostic.from_exception(exc, file=filename)],
-        )
-    try:
-        verified = session.verifier.verify_program(derivation)
-    except VerificationError as exc:
-        return VerifyResult(
-            ok=False,
-            functions=len(session.program.funcs),
-            nodes=derivation.node_count(),
-            diagnostics=[Diagnostic.from_exception(exc, file=filename)],
-        )
-    return VerifyResult(
-        ok=True,
-        functions=len(session.program.funcs),
-        nodes=derivation.node_count(),
-        verified=verified,
+    ``session`` and ``pipeline`` work exactly as for :func:`check`."""
+    return _run_pipeline(
+        VerifyResult, source, filename, program, profile, session, pipeline,
+        verify=True,
     )
 
 
@@ -619,11 +572,11 @@ class Session:
     costs.
 
     This is the stable wrapper over the pipeline's internal
-    ``ProgramSession`` — embedders get warm reuse and per-function
-    parallelism without importing :mod:`repro.pipeline`.  The checker
-    core is persistent (path-copied contexts, interned regions), so one
-    Session may be shared across threads: concurrent ``check`` calls
-    against the same warm Session are safe with zero copies.
+    ``ProgramSession`` — embedders get warm reuse without importing
+    :mod:`repro.pipeline`.  The checker core is persistent (path-copied
+    contexts, interned regions), so one Session may be shared across
+    threads: concurrent ``check`` calls against the same warm Session
+    are safe with zero copies.
 
     Construction never raises on program errors: a Session whose source
     fails to parse or elaborate has ``ok == False`` and carries the
@@ -665,32 +618,18 @@ class Session:
         """Sorted function names (the checker's processing order)."""
         return [] if self._session is None else self._session.function_names()
 
-    def check(
-        self, *, jobs: Optional[int] = None, mode: Optional[str] = None
-    ) -> CheckResult:
+    def check(self) -> CheckResult:
         if self._session is None:
             return CheckResult(ok=False, diagnostics=self.diagnostics)
         return check(
-            self.source,
-            filename=self.filename,
-            profile=self.profile,
-            session=self._session,
-            jobs=jobs,
-            mode=mode,
+            self.source, filename=self.filename, session=self._session
         )
 
-    def verify(
-        self, *, jobs: Optional[int] = None, mode: Optional[str] = None
-    ) -> VerifyResult:
+    def verify(self) -> VerifyResult:
         if self._session is None:
             return VerifyResult(ok=False, diagnostics=self.diagnostics)
         return verify(
-            self.source,
-            filename=self.filename,
-            profile=self.profile,
-            session=self._session,
-            jobs=jobs,
-            mode=mode,
+            self.source, filename=self.filename, session=self._session
         )
 
     def run(self, function: str, args: Sequence = (), **kwargs) -> RunResult:

@@ -12,16 +12,10 @@ pytest-benchmark needed) and reports a document in schema ``repro-bench/1``
   runtime, the exact number of reservation checks erasure elides, compile
   wall-clock and the optimizer's pass counters (calls inlined, loads
   eliminated, checks erased at lowering);
-* **pipeline** — §5 at batch scale: serial vs thread- and process-pool
-  fan-out vs warm certificate cache (replayed and trusted) on the corpus
-  and on a generated many-function workload.  Rows record the host's
-  ``cpu_count`` because fan-out speedups are meaningless without it;
-* **modes** — cold (pool start-up included) vs warm (pool alive) batch
-  wall-clock for the thread pool at jobs 1/2/4 against the process pool,
-  on the embarrassingly-parallel many-function workload.  Thread mode
-  runs against the shared in-process session — no pickling, no worker
-  re-elaboration — which is the ``pipeline.worker_ms`` serialization tax
-  the persistent checker core eliminates.
+* **pipeline** — §5 at batch scale: serial vs process-pool fan-out vs
+  warm certificate cache (replayed and trusted) on the corpus and on a
+  generated many-function workload.  Rows record the host's
+  ``cpu_count`` because fan-out speedups are meaningless without it.
 
 ``compare_docs`` diffs two such documents (same schema, any two runs) and
 flags wall-clock regressions — the CI bench-smoke job compares a fresh
@@ -202,10 +196,11 @@ def many_functions_program(count: int) -> str:
 def bench_pipeline(small: bool = False, jobs: int = 4) -> List[Dict]:
     """Serial vs fan-out vs warm-cache batch throughput.
 
-    Six timings per workload, all over the same program set:
+    One untimed serial pass per workload warms the process (imports,
+    interned regions) so that no timed leg pays for it; then five
+    timings, all over the same program set:
 
-    * ``serial_ms``  — ``jobs=1``, no cache (today's path);
-    * ``thread_ms``  — ``jobs=N`` in-process thread pool, no cache;
+    * ``serial_ms``  — ``jobs=1``, no cache;
     * ``parallel_ms`` — ``jobs=N`` process pool, no cache (includes pool
       start-up: that cost is real for a one-shot batch);
     * ``cold_ms``    — ``jobs=1`` populating a fresh cache;
@@ -237,18 +232,17 @@ def bench_pipeline(small: bool = False, jobs: int = 4) -> List[Dict]:
 
     rows = []
     for label, programs in workloads:
-        with Pipeline(jobs=1) as p:
+        with Pipeline() as p:
+            timed(p, programs)
             serial_ms, functions = timed(p, programs)
-        with Pipeline(jobs=jobs, mode="thread") as p:
-            thread_ms, _ = timed(p, programs)
-        with Pipeline(jobs=jobs, mode="process") as p:
+        with Pipeline(jobs=jobs) as p:
             parallel_ms, _ = timed(p, programs)
         with tempfile.TemporaryDirectory() as cache_dir:
-            with Pipeline(jobs=1, cache_dir=cache_dir) as p:
+            with Pipeline(cache_dir=cache_dir) as p:
                 cold_ms, _ = timed(p, programs)
-            with Pipeline(jobs=1, cache_dir=cache_dir) as p:
+            with Pipeline(cache_dir=cache_dir) as p:
                 warm_ms, _ = timed(p, programs)
-            with Pipeline(jobs=1, cache_dir=cache_dir, trust_cache=True) as p:
+            with Pipeline(cache_dir=cache_dir, trust_cache=True) as p:
                 trusted_ms, _ = timed(p, programs)
         rows.append(
             {
@@ -257,7 +251,6 @@ def bench_pipeline(small: bool = False, jobs: int = 4) -> List[Dict]:
                 "jobs": jobs,
                 "cpu_count": os.cpu_count() or 1,
                 "serial_ms": round(serial_ms, 3),
-                "thread_ms": round(thread_ms, 3),
                 "parallel_ms": round(parallel_ms, 3),
                 "cold_ms": round(cold_ms, 3),
                 "warm_ms": round(warm_ms, 3),
@@ -266,51 +259,6 @@ def bench_pipeline(small: bool = False, jobs: int = 4) -> List[Dict]:
                 "speedup_trusted": round(serial_ms / trusted_ms, 2)
                 if trusted_ms
                 else 0.0,
-            }
-        )
-    return rows
-
-
-def bench_modes(small: bool = False) -> List[Dict]:
-    """Thread pool vs process pool, cold and warm, per job count.
-
-    One row per pool configuration over the many-function workload:
-
-    * ``cold_ms`` — first batch on a fresh :class:`Pipeline` (includes
-      pool start-up and, for the process pool, worker spawn);
-    * ``warm_ms`` — second batch on the same pipeline (pool alive; the
-      steady state of an embedded server or a long batch session).
-
-    Thread workers check the shared warm session in-process, so warm
-    thread rows carry none of the process pool's task pickling or
-    per-worker session re-elaboration (``pipeline.worker_ms``).
-    """
-    from .pipeline import Pipeline
-
-    count = 40 if small else 120
-    source = many_functions_program(count)
-    label = f"many-fns-{count}"
-
-    def timed(pipeline: "Pipeline"):
-        t0 = time.perf_counter()
-        result = pipeline.run(label, source)
-        assert result.ok, "bench workload rejected"
-        return (time.perf_counter() - t0) * 1000
-
-    configs = [("thread", j) for j in (1, 2, 4)] + [("process", 4)]
-    rows = []
-    for mode, jobs in configs:
-        with Pipeline(jobs=jobs, mode=mode) as p:
-            cold_ms = timed(p)
-            warm_ms = timed(p)
-        rows.append(
-            {
-                "config": f"{mode}-j{jobs}",
-                "mode": mode,
-                "jobs": jobs,
-                "functions": count,
-                "cold_ms": round(cold_ms, 3),
-                "warm_ms": round(warm_ms, 3),
             }
         )
     return rows
@@ -518,7 +466,6 @@ def collect(small: bool = False) -> Dict:
         "search": bench_search(widths),
         "ir": bench_ir(repeats, small),
         "pipeline": bench_pipeline(small),
-        "modes": bench_modes(small),
         "server": bench_server(small),
     }
 
@@ -589,7 +536,7 @@ def render_table(doc: Dict) -> str:
         lines.append("§5 — batch pipeline: serial vs fan-out vs warm cache")
         lines.append(
             f"{'workload':>14s} {'fns':>4s} {'jobs':>5s} {'serial(ms)':>11s} "
-            f"{'thr(ms)':>9s} {'par(ms)':>9s} {'cold(ms)':>9s} "
+            f"{'par(ms)':>9s} {'cold(ms)':>9s} "
             f"{'warm(ms)':>9s} {'trust(ms)':>10s} {'warm x':>7s} "
             f"{'trust x':>8s}"
         )
@@ -598,22 +545,10 @@ def render_table(doc: Dict) -> str:
                 f"{row['workload']:>14s} {row['functions']:4d} "
                 f"{row['jobs']:3d}/{row['cpu_count']:<1d} "
                 f"{row['serial_ms']:11.1f} "
-                f"{row.get('thread_ms', 0.0):9.1f} "
                 f"{row['parallel_ms']:9.1f} "
                 f"{row['cold_ms']:9.1f} {row['warm_ms']:9.1f} "
                 f"{row['trusted_ms']:10.1f} {row['speedup_warm']:7.1f} "
                 f"{row['speedup_trusted']:8.1f}"
-            )
-    if doc.get("modes"):
-        lines.append("")
-        lines.append("execution modes — thread pool vs process pool")
-        lines.append(
-            f"{'config':>12s} {'fns':>4s} {'cold(ms)':>9s} {'warm(ms)':>9s}"
-        )
-        for row in doc["modes"]:
-            lines.append(
-                f"{row['config']:>12s} {row['functions']:4d} "
-                f"{row['cold_ms']:9.1f} {row['warm_ms']:9.1f}"
             )
     if doc.get("server"):
         lines.append("")
@@ -646,7 +581,7 @@ SECTION_KEYS = {
     "search": "width",
     "ir": "workload",
     "pipeline": "workload",
-    "modes": "config",
+    "modes": "config",  # older reports only
     "server": "workload",
 }
 

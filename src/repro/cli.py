@@ -38,21 +38,19 @@ rejection, 2 verification failure, 3 runtime error/bench regression,
 
 ``check``/``run``/``verify``/``stats`` all accept ``--metrics-json FILE``
 to dump the telemetry registry as structured JSON (schema
-``repro-telemetry/1``; see docs/OBSERVABILITY.md), and ``run`` accepts
+``repro-telemetry/2``; see docs/OBSERVABILITY.md), and ``run`` accepts
 ``--trace-json FILE`` to export the heap-event trace as JSON lines.
 
 ``FILE`` is normally FCL source; a ``.py`` file works too if it embeds its
 program in a module-level ``SOURCE = \"\"\"...\"\"\"`` literal (the style of
 ``examples/``), so ``repro stats examples/quickstart.py`` just works.
 
-``check``/``verify``/``corpus``/``batch`` accept the pipeline flags
-``--jobs N`` (per-function fan-out; ``--jobs 1`` is today's serial path),
-``--mode thread|process`` (threads share the warm session in-process —
-the default for ``--jobs > 1`` — while processes pay a serialization tax
-but sidestep the GIL), ``--cache DIR`` (persistent content-addressed
-certificate cache), and ``--trust-cache`` (skip re-verifying cached
-certificates; integrity comes from the content hash).  See
-docs/PERFORMANCE.md.
+``check``/``verify``/``corpus``/``batch`` all run through
+:class:`repro.pipeline.Pipeline` and accept its flags: ``--jobs N``
+(per-function fan-out over N worker processes; the default 1 checks
+in-process), ``--cache DIR`` (persistent content-addressed certificate
+cache), and ``--trust-cache`` (skip re-verifying cached certificates;
+integrity comes from the content hash).  See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -152,77 +150,49 @@ def _report_type_error(path: str, exc: TypeError_) -> None:
     _fail(Diagnostic.from_exception(exc, file=path), _SOURCES.get(path, ""))
 
 
-def _wants_pipeline(args: argparse.Namespace) -> bool:
-    """Pipeline flags route a command through the batch engine; without
-    them the original single-process code path runs, byte-identical to
-    previous releases."""
-    return bool(
-        getattr(args, "jobs", None) is not None
-        or getattr(args, "mode", None)
-        or getattr(args, "cache", None)
-        or getattr(args, "trust_cache", False)
-    )
-
-
-def _make_pipeline(args: argparse.Namespace, verify: bool = True):
+def _make_pipeline(args: argparse.Namespace):
     from .pipeline import Pipeline
 
-    if getattr(args, "trust_cache", False) and not getattr(args, "cache", None):
+    if args.trust_cache and not args.cache:
         raise _usage("--trust-cache requires --cache DIR")
     return Pipeline(
-        jobs=args.jobs,
-        cache_dir=args.cache,
-        trust_cache=args.trust_cache,
-        verify=verify,
-        mode=getattr(args, "mode", None),
+        jobs=args.jobs, cache_dir=args.cache, trust_cache=args.trust_cache
     )
+
+
+def _failed(result, source: str) -> int:
+    """Report every diagnostic of a failed facade result; its exit code."""
+    for diag in result.diagnostics:
+        _fail(diag, source)
+    return int(result.exit_code)
+
+
+def _report(result, path: str, source: str) -> int:
+    """Print a facade result's summary, or fail with its diagnostics."""
+    if not result.ok:
+        return _failed(result, source)
+    print(result.summary(path))
+    return int(ExitCode.OK)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     program = _load(args.file)
     source = _SOURCES[args.file]
-    if _wants_pipeline(args):
-        with _make_pipeline(args, verify=False) as pipeline:
-            result = pipeline.run(args.file, source, program)
-        if not result.ok:
-            _fail(result.error.to_diagnostic(args.file), source)
-            return int(ExitCode.CHECK_REJECT)
-        print(
-            f"{args.file}: OK — {len(result.functions)} functions, "
-            f"{result.nodes} derivation nodes"
+    with _make_pipeline(args) as pipeline:
+        result = api.check(
+            source, filename=args.file, program=program, pipeline=pipeline
         )
-        return int(ExitCode.OK)
-    result = api.check(source, filename=args.file, program=program)
-    if not result.ok:
-        for diag in result.diagnostics:
-            _fail(diag, source)
-        return int(result.exit_code)
-    print(result.summary(args.file))
-    return int(ExitCode.OK)
+    return _report(result, args.file, source)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     program = _load(args.file)
     source = _SOURCES[args.file]
-    if _wants_pipeline(args):
-        with _make_pipeline(args) as pipeline:
-            result = pipeline.run(args.file, source, program)
-        if not result.ok:
-            _fail(result.error.to_diagnostic(args.file), source)
-            return int(
-                ExitCode.CHECK_REJECT
-                if result.error.stage == "check"
-                else ExitCode.VERIFY_FAIL
-            )
-        print(f"{args.file}: verified ({result.verified} nodes)")
-        return int(ExitCode.OK)
-    result = api.verify(source, filename=args.file, program=program)
-    if not result.ok:
-        for diag in result.diagnostics:
-            _fail(diag, source)
-        return int(result.exit_code)
-    print(result.summary(args.file))
-    return int(ExitCode.OK)
+    with _make_pipeline(args) as pipeline:
+        result = api.verify(
+            source, filename=args.file, program=program, pipeline=pipeline
+        )
+    return _report(result, args.file, source)
 
 
 def _parse_args(raw: List[str]):
@@ -383,9 +353,7 @@ def cmd_disasm(args: argparse.Namespace) -> int:
     source = _SOURCES[args.file]
     result = api.check(source, filename=args.file, program=program)
     if not result.ok:
-        for diag in result.diagnostics:
-            _fail(diag, source)
-        return int(result.exit_code)
+        return _failed(result, source)
     try:
         text = disassemble(
             program,
@@ -432,38 +400,24 @@ def cmd_stats(args: argparse.Namespace) -> int:
     metrics table (and export JSON via the shared --metrics-json flag)."""
     from . import telemetry
 
-    program = _load(args.file)
-    try:
-        derivation = Checker(program).check_program()
-    except TypeError_ as exc:
-        _report_type_error(args.file, exc)
-        return 1
-    try:
-        nodes = Verifier(program).verify_program(derivation)
-    except VerificationError as exc:
-        print(f"{args.file}: VERIFICATION FAILED: {exc}", file=sys.stderr)
-        return 2
-    fname = args.function or _pick_entry(program)
+    source = _read_source(args.file)
+    session = api.Session(source, filename=args.file)
+    verified = session.verify()
+    if not verified.ok:
+        return _failed(verified, source)
+    fname = args.function or _pick_entry(session.program)
     ran = ""
     if fname is not None:
-        if fname not in program.funcs:
+        if fname not in session.program.funcs:
             print(f"error: no function {fname!r}", file=sys.stderr)
             return 1
-        heap = Heap()
-        try:
-            run_function(
-                program,
-                fname,
-                _parse_args(args.args),
-                heap=heap,
-                sink_sends=True,
-            )
-        except Exception as exc:
-            print(f"runtime error in {fname}: {exc}", file=sys.stderr)
-            return 3
+        result = session.run(fname, _parse_args(args.args), check_first=False)
+        if not result.ok:
+            return _failed(result, source)
         ran = f"; ran {fname}()"
     print(
-        f"{args.file}: checked + verified ({nodes} derivation nodes){ran}"
+        f"{args.file}: checked + verified "
+        f"({verified.verified} derivation nodes){ran}"
     )
     print()
     print(telemetry.render_table(telemetry.registry()))
@@ -486,14 +440,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     try:
         result = api.check(source, filename=args.file, program=program)
         if not result.ok:
-            for diag in result.diagnostics:
-                _fail(diag, source)
-            return int(result.exit_code)
+            return _failed(result, source)
         vresult = api.verify(source, filename=args.file, program=program)
         if not vresult.ok:
-            for diag in vresult.diagnostics:
-                _fail(diag, source)
-            return int(vresult.exit_code)
+            return _failed(vresult, source)
         ran = ""
         fname = args.function or _pick_entry(program)
         if fname is not None:
@@ -509,9 +459,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 check_first=False,
             )
             if not rresult.ok:
-                for diag in rresult.diagnostics:
-                    _fail(diag, source)
-                return int(rresult.exit_code)
+                return _failed(rresult, source)
             ran = f"; ran {fname}()"
     finally:
         telemetry.disable_tracing()
@@ -758,32 +706,18 @@ def cmd_table1(_args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
-    from .corpus import corpus_names, load_program, load_source
+    from .corpus import corpus_names, load_source
 
-    if _wants_pipeline(args):
-        with _make_pipeline(args) as pipeline:
-            for name in corpus_names():
-                result = pipeline.run(name, load_source(name))
-                if not result.ok:
-                    print(
-                        f"{name}: {result.error.stage} error: "
-                        f"{result.error.message}",
-                        file=sys.stderr,
-                    )
-                    return 1 if result.error.stage == "check" else 2
-                print(
-                    f"{name:8s} {len(result.functions):3d} functions  "
-                    f"checked + verified ({result.verified} nodes)"
-                )
-        return 0
-    for name in corpus_names():
-        program = load_program(name)
-        derivation = Checker(program).check_program()
-        nodes = Verifier(program).verify_program(derivation)
-        print(
-            f"{name:8s} {len(program.funcs):3d} functions  "
-            f"checked + verified ({nodes} nodes)"
-        )
+    with _make_pipeline(args) as pipeline:
+        for name in corpus_names():
+            source = load_source(name)
+            result = api.verify(source, filename=name, pipeline=pipeline)
+            if not result.ok:
+                return _failed(result, source)
+            print(
+                f"{name:8s} {result.functions:3d} functions  "
+                f"checked + verified ({result.verified} nodes)"
+            )
     return 0
 
 
@@ -883,7 +817,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 cache_entries=args.cache_entries,
                 cache_bytes=args.cache_bytes,
                 max_steps=max_steps,
-                jobs=args.check_jobs,
             ),
             config=config,
         )
@@ -894,7 +827,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_steps=max_steps,
             cache_entries=args.cache_entries,
             cache_bytes=args.cache_bytes,
-            jobs=args.check_jobs,
         )
         server = Server(service=service, config=config)
 
@@ -928,24 +860,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def _client_check(client, path: str) -> int:
     source = _read_source(path)
-    result = client.check(source, filename=path)
-    if not result.ok:
-        for diag in result.diagnostics:
-            _fail(diag, source)
-        return int(result.exit_code)
-    print(result.summary(path))
-    return int(ExitCode.OK)
+    return _report(client.check(source, filename=path), path, source)
 
 
 def _client_verify(client, path: str) -> int:
     source = _read_source(path)
-    result = client.verify(source, filename=path)
-    if not result.ok:
-        for diag in result.diagnostics:
-            _fail(diag, source)
-        return int(result.exit_code)
-    print(result.summary(path))
-    return int(ExitCode.OK)
+    return _report(client.verify(source, filename=path), path, source)
 
 
 def _client_run(client, args: argparse.Namespace) -> int:
@@ -961,9 +881,7 @@ def _client_run(client, args: argparse.Namespace) -> int:
         max_steps=args.max_steps,
     )
     if not result.ok:
-        for diag in result.diagnostics:
-            _fail(diag, source)
-        return int(result.exit_code)
+        return _failed(result, source)
     print(result.value)
     return int(ExitCode.OK)
 
@@ -975,9 +893,7 @@ def _client_corpus(client) -> int:
     for name in corpus_names():
         result = client.verify(load_source(name), filename=name)
         if not result.ok:
-            for diag in result.diagnostics:
-                _fail(diag, load_source(name))
-            return int(result.exit_code)
+            return _failed(result, load_source(name))
         print(
             f"{name:8s} {result.functions:3d} functions  "
             f"checked + verified ({result.verified} nodes)"
@@ -1168,19 +1084,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs",
             type=int,
-            default=None,
+            default=1,
             metavar="N",
-            help="workers for per-function fan-out "
-            "(default: all CPUs; 1 = in-process serial path)",
-        )
-        p.add_argument(
-            "--mode",
-            choices=("auto", "serial", "thread", "process"),
-            default=None,
-            help="fan-out execution mode: threads share the warm session "
-            "in-process (default for --jobs > 1), processes pay a "
-            "serialization tax but sidestep the GIL for large cold "
-            "batches",
+            help="worker processes for per-function fan-out "
+            "(default 1: check in-process)",
         )
         p.add_argument(
             "--cache",
@@ -1580,14 +1487,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker threads executing requests in single-process "
         "mode (default 8; ignored with --workers)",
-    )
-    p.add_argument(
-        "--check-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="per-request function fan-out: check a request's functions "
-        "on N threads sharing the warm session (default 1)",
     )
     p.add_argument(
         "--http",

@@ -1,11 +1,13 @@
-"""Parallel + incremental check/verify pipeline.
+"""The check/verify pipeline: the one program-level check/verify path.
 
-Batch orchestration for the prover–verifier stack: per-function jobs
-fanned over a process pool (``--jobs N``) and a persistent
-content-addressed certificate cache that turns repeat runs into cheap
-certificate replays (``--cache DIR``) or pure hash lookups
-(``--trust-cache``).  See ``docs/PERFORMANCE.md`` for the cache-key
-recipe and the determinism contract.
+Every whole-program check and verify — the :mod:`repro.api` facade, and
+through it the CLI and the daemon — runs through
+:meth:`Pipeline.run`: per-function jobs, in-process by default or fanned
+over a process pool (``--jobs N``), and a persistent content-addressed
+certificate cache that turns repeat runs into cheap certificate replays
+(``--cache DIR``) or pure hash lookups (``--trust-cache``).  See
+``docs/PERFORMANCE.md`` for the cache-key recipe and the determinism
+contract.
 """
 
 from .batch import discover, run_batch

@@ -92,7 +92,7 @@ def run_batch(
         stale += counts["stale"]
     wall_ms = (time.perf_counter() - t0) * 1000.0
     print(
-        f"pipeline: jobs={pipeline.jobs} mode={pipeline.mode} "
+        f"pipeline: jobs={pipeline.jobs} "
         f"hits={hits} misses={misses} "
         f"stale={stale} ({wall_ms:.0f} ms)",
         file=err,

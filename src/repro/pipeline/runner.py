@@ -1,19 +1,17 @@
-"""The batch check/verify orchestrator.
+"""The one program-level check/verify orchestrator.
 
-A :class:`Pipeline` takes programs and produces :class:`ProgramResult`\\ s
-through three cooperating mechanisms:
+Every check and verify of a whole program — the :mod:`repro.api` facade,
+and through it the CLI and the daemon — runs through
+:meth:`Pipeline.run`.  A :class:`Pipeline` turns a program into a
+:class:`ProgramResult` through three cooperating mechanisms:
 
-* **per-function fan-out** — each function of a program is an independent
-  job (check + verify, or certificate replay).  ``jobs=1`` runs them
-  in-process and phase-faithful to the serial entry points; ``jobs>1``
-  fans out in one of two execution modes.  ``mode="thread"`` (the
-  default for ``jobs>1``) runs tasks on a ``ThreadPoolExecutor``
-  against the **shared warm session** — the persistent checker core
-  makes concurrent checks safe with zero copies, and nothing is pickled
-  or re-elaborated.  ``mode="process"`` keeps the older
-  ``ProcessPoolExecutor`` fan-out, worth its serialization tax only for
-  large CPU-bound cold batches where the GIL would serialise the
-  thread pool;
+* **per-function jobs** — each function of a program is an independent
+  job (check + verify, or certificate replay), checked against its
+  elaborated function type (§4.8, §5).  ``jobs=1`` (the default) runs
+  them in-process against the caller's warm session, phase-faithful to
+  ``Checker.check_program`` + ``Verifier.verify_program``; ``jobs>1``
+  fans them out over a ``ProcessPoolExecutor``, worth its task-pickling
+  and per-worker re-elaboration tax only for large CPU-bound batches;
 * **the certificate cache** (:mod:`repro.pipeline.cache`) — a content
   hash decides per function whether the prover runs at all.  A hit
   replays the stored certificate through the verifier (soundness
@@ -25,32 +23,27 @@ through three cooperating mechanisms:
   documents and are folded into the parent registry, so ``--metrics-json``
   reports the same checker/verifier counters a serial run would.
 
-Determinism contract, relied on by tests and CI: for any program, any
-cache state, and **any execution mode**, ``jobs=1`` and ``jobs=N``
-produce identical accept/reject decisions, identical first-error
-diagnostics (first in sorted function order, exactly like
-``Checker.check_program``), and identical merged counters (modulo the
-``pipeline.*`` family itself).
+Determinism contract, relied on by tests and CI: for any program and any
+cache state, ``jobs=1`` and ``jobs=N`` produce identical accept/reject
+decisions, identical first-error diagnostics (first in sorted function
+order, exactly like ``Checker.check_program``), and identical merged
+counters (modulo the ``pipeline.*`` family itself).
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import telemetry as tel
-from ..core import errors as _errors
-from ..core.checker import CheckProfile, DEFAULT_PROFILE
 from ..core.errors import TypeError_
 from ..core.serialize import func_derivation_to_json
-from ..lang import ast
 from ..verifier import VerificationError
 from .cache import CacheEntry, CertCache
 from .session import ProgramSession
-from .worker import init_worker, run_function_task, span_from_tuple
+from .worker import init_worker, run_function_task
 
 
 @dataclass
@@ -89,14 +82,6 @@ class ErrorInfo:
             crash=crash,
         )
 
-    def as_type_error(self) -> TypeError_:
-        """Reconstruct the checker exception (or the closest subclass we
-        can name) so callers can render it exactly like the serial path."""
-        klass = getattr(_errors, self.cls, TypeError_)
-        if not (isinstance(klass, type) and issubclass(klass, TypeError_)):
-            klass = TypeError_
-        return klass(self.message, span_from_tuple(self.span))
-
     def to_diagnostic(self, file: str = "<input>"):
         """The canonical :class:`repro.api.Diagnostic` form — the one
         encoder shared by CLI text output, ``--metrics-json`` failure
@@ -110,9 +95,6 @@ class ErrorInfo:
             message=self.message,
             span=self.span,
         )
-
-    def render(self, source: str, filename: str) -> str:
-        return self.to_diagnostic(filename).render(source)
 
 
 @dataclass
@@ -155,34 +137,19 @@ class ProgramResult:
         return out
 
 
-#: Execution modes accepted by :class:`Pipeline` (``None`` means auto:
-#: serial for one job, thread otherwise).
-PIPELINE_MODES = ("serial", "thread", "process")
-
-
 class Pipeline:
-    """Reusable batch check/verify engine (one per CLI invocation)."""
+    """Reusable check/verify engine: serial in-process for ``jobs=1``, a
+    process pool for ``jobs>1``, with an optional certificate cache."""
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         cache_dir: Optional[str] = None,
         trust_cache: bool = False,
-        verify: bool = True,
-        profile: CheckProfile = DEFAULT_PROFILE,
         cache_entries: Optional[int] = None,
         cache_bytes: Optional[int] = None,
-        mode: Optional[str] = None,
     ):
-        self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-        if mode in (None, "auto"):
-            mode = None
-        elif mode not in PIPELINE_MODES:
-            raise ValueError(
-                f"unknown pipeline mode {mode!r}; "
-                f"expected one of {', '.join(PIPELINE_MODES)}"
-            )
-        self._requested_mode = mode
+        self.jobs = max(1, jobs)
         self.cache = (
             CertCache(
                 cache_dir, max_entries=cache_entries, max_bytes=cache_bytes
@@ -191,22 +158,7 @@ class Pipeline:
             else None
         )
         self.trust_cache = trust_cache
-        self.verify = verify
-        self.profile = profile
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._thread_executor: Optional[ThreadPoolExecutor] = None
-        reg = tel.registry()
-        if reg.enabled:
-            reg.inc("pipeline.jobs", self.jobs)
-
-    @property
-    def mode(self) -> str:
-        """The resolved execution mode: an explicit request wins; auto
-        picks serial for one job and thread otherwise (shared warm
-        session, no pickling — process fan-out is opt-in)."""
-        if self._requested_mode is not None:
-            return self._requested_mode
-        return "serial" if self.jobs <= 1 else "thread"
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -219,20 +171,10 @@ class Pipeline:
             )
         return self._executor
 
-    def _thread_executor_handle(self) -> ThreadPoolExecutor:
-        if self._thread_executor is None:
-            self._thread_executor = ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="repro-pipeline"
-            )
-        return self._thread_executor
-
     def close(self) -> None:
         if self._executor is not None:
             self._executor.shutdown()
             self._executor = None
-        if self._thread_executor is not None:
-            self._thread_executor.shutdown()
-            self._thread_executor = None
 
     def __enter__(self) -> "Pipeline":
         return self
@@ -248,39 +190,44 @@ class Pipeline:
         self,
         label: str,
         source: str,
-        program: Optional[ast.Program] = None,
+        *,
+        session: Optional[ProgramSession] = None,
+        verify: bool = True,
     ) -> ProgramResult:
-        """Check (and verify) every function of one program."""
+        """Check (and, with ``verify``, verify) every function of one
+        program.  ``session`` is the caller's warm session for ``source``;
+        without one the program is parsed and elaborated here."""
         tr = tel.tracer()
         if not tr.enabled:
-            return self._run(label, source, program)
+            return self._run(label, source, session, verify)
         # Under the ambient span when there is one (the daemon's request
         # span, the facade's api.* span), a new root otherwise; worker
         # tasks inherit this context and stitch under it.
         with tr.span("pipeline.program", cat="pipeline", args={"label": label}):
-            return self._run(label, source, program)
+            return self._run(label, source, session, verify)
 
     def _run(
         self,
         label: str,
         source: str,
-        program: Optional[ast.Program] = None,
+        session: Optional[ProgramSession],
+        verify: bool,
     ) -> ProgramResult:
         t0 = time.perf_counter()
         reg = tel.registry()
-        try:
-            session = ProgramSession(
-                source, program=program, profile=self.profile
-            )
-        except TypeError_ as exc:
-            # Program-level validation failure (duplicate names, malformed
-            # annotations) — same rejection the serial Checker raises.
-            return ProgramResult(
-                label,
-                ok=False,
-                error=ErrorInfo.from_exception("check", exc),
-                wall_ms=(time.perf_counter() - t0) * 1000.0,
-            )
+        if session is None:
+            try:
+                session = ProgramSession(source)
+            except TypeError_ as exc:
+                # Program-level validation failure (duplicate names,
+                # malformed annotations) — same rejection the serial
+                # Checker raises.
+                return ProgramResult(
+                    label,
+                    ok=False,
+                    error=ErrorInfo.from_exception("check", exc),
+                    wall_ms=(time.perf_counter() - t0) * 1000.0,
+                )
         names = session.function_names()
 
         # Phase 0 — consult the cache and plan one task per function.
@@ -291,7 +238,7 @@ class Pipeline:
             if self.cache is not None:
                 status, entry = self.cache.get(session.function_key(name))
             if status == "hit" and entry is not None:
-                if self.trust_cache or not self.verify:
+                if self.trust_cache or not verify:
                     resolved[name] = FunctionResult(
                         name,
                         ok=True,
@@ -300,31 +247,29 @@ class Pipeline:
                         verified=entry.verified if self.trust_cache else 0,
                     )
                     continue
-                tasks.append(self._task(session, name, "replay", entry.cert))
+                tasks.append(self._task(session, name, "replay", entry.cert, verify))
             else:
                 # "stale" is re-derived like a miss; the overwrite below
                 # evicts the unusable entry.
-                tasks.append(self._task(session, name, "check", None))
+                tasks.append(self._task(session, name, "check", None, verify))
 
-        mode = self.mode
-        if reg.enabled:
-            reg.inc(f"pipeline.mode.{mode if tasks else 'serial'}")
-        if tasks and mode == "process":
-            outcomes = self._run_parallel(session, tasks, reg)
-        elif tasks and mode == "thread":
-            outcomes = self._run_threaded(session, tasks, reg)
+        if tasks and self.jobs > 1:
+            outcomes = self._run_parallel(tasks, reg)
         else:
-            outcomes = self._run_serial(session, tasks, reg)
+            outcomes = self._run_serial(session, tasks, reg, verify)
 
-        result = self._assemble(label, session, names, resolved, outcomes, reg)
+        result = self._assemble(
+            label, session, names, resolved, outcomes, reg, verify
+        )
         result.wall_ms = (time.perf_counter() - t0) * 1000.0
         if reg.enabled:
             reg.inc("pipeline.files")
             reg.inc("pipeline.functions", len(names))
-            counts = result.counts()
-            reg.inc("pipeline.cache.hit", counts["hit"])
-            reg.inc("pipeline.cache.miss", counts["miss"])
-            reg.inc("pipeline.cache.stale", counts["stale"])
+            if self.cache is not None:
+                counts = result.counts()
+                reg.inc("pipeline.cache.hit", counts["hit"])
+                reg.inc("pipeline.cache.miss", counts["miss"])
+                reg.inc("pipeline.cache.stale", counts["stale"])
         return result
 
     def _task(
@@ -333,15 +278,16 @@ class Pipeline:
         name: str,
         kind: str,
         cert: Optional[str],
+        verify: bool,
     ) -> Dict[str, Any]:
         return {
             "source": session.source,
-            "profile": self.profile,
+            "profile": session.profile,
             "func": name,
             "kind": kind,
             "cert": cert,
-            "want_cert": self.cache is not None and self.verify,
-            "verify": self.verify,
+            "want_cert": self.cache is not None and verify,
+            "verify": verify,
             "collect": tel.registry().enabled,
             # Wire trace context (None when tracing is off): workers run
             # under a local tracer parented here and ship events back as
@@ -350,7 +296,7 @@ class Pipeline:
         }
 
     # ------------------------------------------------------------------
-    # Serial execution — today's path, phase-faithful
+    # Serial execution — in-process, phase-faithful
     # ------------------------------------------------------------------
 
     def _run_serial(
@@ -358,6 +304,7 @@ class Pipeline:
         session: ProgramSession,
         tasks: List[Dict[str, Any]],
         reg: tel.Registry,
+        verify: bool,
     ) -> Dict[str, Dict[str, Any]]:
         """In-process execution against the ambient registry, replicating
         the serial entry points' phase structure exactly: check every
@@ -388,7 +335,7 @@ class Pipeline:
                     ms=(time.perf_counter() - t0) * 1000.0,
                 )
 
-        if not self.verify:
+        if not verify:
             return outcomes
 
         with _maybe_span(reg, "verify.program"):
@@ -445,40 +392,15 @@ class Pipeline:
         return out
 
     # ------------------------------------------------------------------
-    # Parallel execution
+    # Parallel execution — a process pool
     # ------------------------------------------------------------------
 
     def _run_parallel(
-        self,
-        session: ProgramSession,
-        tasks: List[Dict[str, Any]],
-        reg: tel.Registry,
+        self, tasks: List[Dict[str, Any]], reg: tel.Registry
     ) -> Dict[str, Dict[str, Any]]:
         executor = self._executor_handle()
         with _maybe_span(reg, "check.program"):
             raw = list(executor.map(run_function_task, tasks))
-        return self._ingest(raw, reg)
-
-    def _run_threaded(
-        self,
-        session: ProgramSession,
-        tasks: List[Dict[str, Any]],
-        reg: tel.Registry,
-    ) -> Dict[str, Dict[str, Any]]:
-        """In-process fan-out over a thread pool.
-
-        Every task runs :func:`run_function_task` against the **same**
-        warm session object: the persistent contexts core guarantees a
-        check never mutates shared state, region interning is locked,
-        and the per-task telemetry/tracer swaps in the worker are
-        thread-scoped.  Compared to process mode nothing is pickled and
-        the program is parsed/elaborated exactly once — the serialization
-        tax visible in ``pipeline.worker_ms`` disappears."""
-        executor = self._thread_executor_handle()
-        with _maybe_span(reg, "check.program"):
-            raw = list(
-                executor.map(lambda task: run_function_task(task, session), tasks)
-            )
         return self._ingest(raw, reg)
 
     def _ingest(
@@ -520,6 +442,7 @@ class Pipeline:
         resolved: Dict[str, FunctionResult],
         outcomes: Dict[str, Dict[str, Any]],
         reg: tel.Registry,
+        verify: bool,
     ) -> ProgramResult:
         # The winning error is the serial one: first check error in sorted
         # function order; barring those, the first verify error.
@@ -555,11 +478,19 @@ class Pipeline:
                 if out.get("ms"):
                     reg.observe("pipeline.worker_ms", out["ms"])
 
+        # A serial run that fails verification has checked every function.
+        checked = sum(
+            1
+            for out in outcomes.values()
+            if out["cached"] in ("miss", "stale")
+        )
+        if reg.enabled and checked and (error is None or error.stage == "verify"):
+            reg.inc("checker.functions", checked)
+
         result = ProgramResult(label, ok=error is None, error=error)
         if error is not None:
             return result
 
-        checked = 0
         verified_count = 0
         for name in names:
             if name in resolved:
@@ -576,9 +507,7 @@ class Pipeline:
                     ms=out["ms"],
                 )
             )
-            if out["cached"] in ("miss", "stale"):
-                checked += 1
-            if self.verify:
+            if verify:
                 verified_count += 1
             if self.cache is not None and out.get("cert"):
                 self.cache.put(
@@ -590,11 +519,8 @@ class Pipeline:
                         cert=out["cert"],
                     ),
                 )
-        if reg.enabled:
-            if checked:
-                reg.inc("checker.functions", checked)
-            if verified_count:
-                reg.inc("verifier.certificates", verified_count)
+        if reg.enabled and verified_count:
+            reg.inc("verifier.certificates", verified_count)
         return result
 
 

@@ -4,7 +4,7 @@ Everything here must be importable by name from a fresh interpreter (the
 ``ProcessPoolExecutor`` contract) and speak only in picklable primitives:
 tasks and results are plain dicts of strings/ints, exceptions are folded
 into structured error records, and telemetry crosses the process boundary
-as exported ``repro-telemetry/1`` documents that the parent merges back
+as exported ``repro-telemetry/2`` documents that the parent merges back
 into its registry.
 
 A worker keeps a small per-process table of :class:`ProgramSession`
@@ -84,9 +84,7 @@ def _error_record(stage: str, exc: BaseException, crash: bool = False):
     }
 
 
-def run_function_task(
-    task: Dict[str, Any], session: Optional[ProgramSession] = None
-) -> Dict[str, Any]:
+def run_function_task(task: Dict[str, Any]) -> Dict[str, Any]:
     """Check (or replay) + verify one function; the parallel pipeline's
     unit of work.
 
@@ -98,30 +96,21 @@ def run_function_task(
     (gather telemetry documents), ``trace`` (optional trace-context wire
     dict: run under a worker-local tracer and ship the events back as
     ``trace_doc`` for the parent to stitch into its ring buffer).
-
-    Process pools call this with ``session=None`` and fall back to the
-    per-process session table; the in-process thread mode passes the
-    parent's warm session directly — no pickling, no re-elaboration.
-    Telemetry/tracer swaps below are per-thread scoped, so concurrent
-    thread-mode tasks collect into private registries without touching
-    each other or the caller's ambient registry.
     """
     parent_ctx = tel.TraceContext.from_wire(task.get("trace"))
     if parent_ctx is None:
-        return _run_function_task(task, session)
+        return _run_function_task(task)
     local = tel.Tracer(capacity=4096)
     with tel.use_tracer_local(local):
         with local.span(
             f"pipeline.func.{task['func']}", cat="pipeline", parent=parent_ctx
         ):
-            result = _run_function_task(task, session)
+            result = _run_function_task(task)
     result["trace_doc"] = local.events()
     return result
 
 
-def _run_function_task(
-    task: Dict[str, Any], session: Optional[ProgramSession] = None
-) -> Dict[str, Any]:
+def _run_function_task(task: Dict[str, Any]) -> Dict[str, Any]:
     t0 = time.perf_counter()
     collect = task["collect"]
     check_reg = tel.Registry(enabled=True) if collect else None
@@ -139,8 +128,7 @@ def _run_function_task(
     name = task["func"]
     fd = None
     try:
-        if session is None:
-            session = _session_for(task["source"], task["profile"])
+        session = _session_for(task["source"], task["profile"])
     except TypeError_ as exc:
         # Program-level validation failure — the parent normally catches
         # this before fanning out, but a worker must never crash the pool.

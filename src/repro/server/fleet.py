@@ -66,12 +66,6 @@ class FleetConfig:
     max_steps: int = DEFAULT_MAX_STEPS
     max_sessions: int = 32
     max_memo: int = 512
-    #: Per-request function fan-out *inside* each worker: with ``jobs >
-    #: 1`` every worker's service checks a request's functions on a
-    #: thread pool sharing that worker's warm session, so one big
-    #: program parallelizes even when it lands on a single worker.
-    jobs: int = 1
-    mode: Optional[str] = None
     #: ``spawn`` is the safe default (the acceptor runs threads and an
     #: event loop; forking those is asking for inherited-lock deadlocks).
     start_method: str = "spawn"
@@ -85,8 +79,6 @@ class FleetConfig:
             "max_steps": self.max_steps,
             "max_sessions": self.max_sessions,
             "max_memo": self.max_memo,
-            "jobs": self.jobs,
-            "mode": self.mode,
         }
 
 
@@ -117,8 +109,6 @@ def fleet_worker_main(conn, ctl, config: Dict[str, Any]) -> None:
         max_steps=config["max_steps"],
         cache_entries=config["cache_entries"],
         cache_bytes=config["cache_bytes"],
-        jobs=config.get("jobs", 1),
-        mode=config.get("mode"),
     )
     threading.Thread(
         target=_control_loop, args=(ctl, service), daemon=True

@@ -11,14 +11,10 @@ state that makes a long-running process worth having:
   ``(method, filename, sha256(source))``, so the warm path is a dict
   lookup returning the exact dict a cold call produced (byte-identity
   with :mod:`repro.api` is structural, not approximate);
-* **the PR-4 certificate cache** — with ``cache_dir`` set, ``verify`` and
-  ``batch`` route through a resident :class:`~repro.pipeline.Pipeline`
-  so unchanged functions replay stored certificates instead of re-proving;
-* **in-process parallel checking** — with ``jobs > 1`` the resident
-  pipeline fans each request's functions out over threads sharing the
-  warm session (the persistent checker core makes that safe with zero
-  copies), so one large ``verify`` request uses every configured core
-  without forking or pickling.
+* **the certificate cache** — with ``cache_dir`` set, ``verify`` and
+  ``batch`` hand the facade a resident :class:`~repro.pipeline.Pipeline`
+  carrying the cache, so unchanged functions replay stored certificates
+  instead of re-proving.
 
 Results are plain dicts: exactly ``repro.api.*Result.to_dict()``.
 Protocol-style validation failures raise :class:`~.protocol.RpcError`
@@ -64,12 +60,8 @@ class Service:
         max_batch: int = 256,
         cache_entries: Optional[int] = None,
         cache_bytes: Optional[int] = None,
-        jobs: int = 1,
-        mode: Optional[str] = None,
     ):
         self.cache_dir = cache_dir
-        self.jobs = jobs if jobs and jobs > 0 else 1
-        self.mode = mode
         self.max_steps = max_steps
         self.max_batch = max_batch
         self._max_sessions = max_sessions
@@ -93,17 +85,14 @@ class Service:
         ambient = tel.registry()
         self.registry = ambient if ambient.enabled else tel.Registry(enabled=True)
         self._pipeline = None
-        self._pipeline_lock = threading.Lock()
-        if cache_dir is not None or self.jobs > 1 or mode not in (None, "serial"):
+        if cache_dir is not None:
             from ..pipeline import Pipeline
 
             self._pipeline = Pipeline(
-                jobs=self.jobs,
                 cache_dir=cache_dir,
                 trust_cache=trust_cache,
                 cache_entries=cache_entries,
                 cache_bytes=cache_bytes,
-                mode=mode,
             )
 
     # ------------------------------------------------------------------
@@ -141,36 +130,31 @@ class Service:
         return {"pong": True, "rpc": RPC_SCHEMA, "version": __version__}
 
     def check(self, source: str, filename: str) -> Dict[str, Any]:
-        key = ("check", filename, _sha(source))
+        return self._answer(api.check, "check", source, filename, None)
+
+    def verify(self, source: str, filename: str) -> Dict[str, Any]:
+        return self._answer(
+            api.verify, "verify", source, filename, self._pipeline
+        )
+
+    def _answer(self, fn, method: str, source: str, filename: str, pipeline):
+        """``fn`` (``api.check`` or ``api.verify``) against the warm
+        session, memoized per ``(method, filename, source)``."""
+        key = (method, filename, _sha(source))
         hit = self._memo_get(key)
         if hit is not None:
             return hit
         session, lock = self._session(source)
-        if lock is not None:
+        if lock is None:
+            result = fn(source, filename=filename)
+        else:
             with lock:
-                result = api.check(source, filename=filename, session=session)
-        else:
-            result = api.check(source, filename=filename)
-        return self._memo_put(key, result.to_dict())
-
-    def verify(self, source: str, filename: str) -> Dict[str, Any]:
-        key = ("verify", filename, _sha(source))
-        hit = self._memo_get(key)
-        if hit is not None:
-            return hit
-        if self._pipeline is not None:
-            with self._pipeline_lock:
-                program_result = self._pipeline.run(filename, source)
-            result = _verify_from_program_result(program_result, filename)
-        else:
-            session, lock = self._session(source)
-            if lock is not None:
-                with lock:
-                    result = api.verify(
-                        source, filename=filename, session=session
-                    )
-            else:
-                result = api.verify(source, filename=filename)
+                result = fn(
+                    source,
+                    filename=filename,
+                    session=session,
+                    pipeline=pipeline,
+                )
         return self._memo_put(key, result.to_dict())
 
     def run(self, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -254,10 +238,6 @@ class Service:
                 "memo_misses": self.registry.value("server.memo.misses"),
                 "cache_dir": self.cache_dir,
                 "max_steps": self.max_steps,
-                "jobs": self.jobs,
-                "mode": (
-                    None if self._pipeline is None else self._pipeline.mode
-                ),
             }
 
     def close(self) -> None:
@@ -271,7 +251,10 @@ class Service:
     def _session(self, source: str):
         """(session, lock) — or (None, None) when the program does not
         even construct a session (parse/elaboration failure); the facade
-        then recomputes and reports the diagnostic itself."""
+        then recomputes and reports the diagnostic itself.  Any other
+        exception is a crash, not a program error, and propagates."""
+        from ..core.errors import TypeError_
+        from ..lang import LexError, ParseError
         from ..pipeline.session import ProgramSession
 
         key = _sha(source)
@@ -282,7 +265,7 @@ class Service:
                 return entry
         try:
             session = ProgramSession(source)
-        except Exception:
+        except (ParseError, LexError, TypeError_):
             return None, None
         entry = (session, threading.Lock())
         with self._lock:
@@ -312,23 +295,6 @@ class Service:
                 self._memo.popitem(last=False)
             self._memo[key] = result
         return result
-
-
-def _verify_from_program_result(program_result, filename: str):
-    """Convert a pipeline :class:`ProgramResult` into the facade's
-    :class:`~repro.api.VerifyResult` (same numbers as the serial path —
-    the PR-4 determinism contract)."""
-    if program_result.ok:
-        return api.VerifyResult(
-            ok=True,
-            functions=len(program_result.functions),
-            nodes=program_result.nodes,
-            verified=program_result.verified,
-        )
-    return api.VerifyResult(
-        ok=False,
-        diagnostics=[program_result.error.to_diagnostic(filename)],
-    )
 
 
 def _sha(source: str) -> str:

@@ -3,9 +3,8 @@
 ``registry_to_doc`` produces a plain-dict document (schema
 ``repro-telemetry/2``, see ``benchmarks/metrics.schema.json``);
 ``doc_to_registry`` reconstructs an equivalent registry, so exports round
-trip.  ``/2`` added gauges and histogram bucket counts; ``doc_to_registry``
-and ``merge_doc`` still accept ``repro-telemetry/1`` documents (no gauges,
-no buckets) so stored exports keep loading.  ``render_table`` is the
+trip.  ``doc_to_registry`` and ``merge_doc`` accept ``/2`` documents only;
+the bucketless ``/1`` format is no longer read.  ``render_table`` is the
 human-facing form used by ``repro stats``; ``render_prometheus`` is the
 text exposition served through the daemon's ``metrics`` RPC
 (``repro client metrics --prom``).
@@ -21,9 +20,8 @@ from .registry import BUCKET_BOUNDS, Histogram, Registry, SpanStats
 
 SCHEMA = "repro-telemetry/2"
 
-#: Schemas ``doc_to_registry``/``merge_doc`` accept.  ``/1`` documents
-#: simply have no gauges and no histogram buckets.
-ACCEPTED_SCHEMAS = ("repro-telemetry/1", "repro-telemetry/2")
+#: Schemas ``doc_to_registry``/``merge_doc`` accept.
+ACCEPTED_SCHEMAS = (SCHEMA,)
 
 
 def _check_schema(doc: Dict[str, Any]) -> None:
@@ -73,8 +71,7 @@ def registry_to_doc(reg: Registry) -> Dict[str, Any]:
 
 def doc_to_registry(doc: Dict[str, Any]) -> Registry:
     """Rebuild a registry from an exported document (inverse of
-    :func:`registry_to_doc` up to histogram mean, which is derived).
-    Accepts ``/1`` and ``/2`` documents."""
+    :func:`registry_to_doc` up to histogram mean, which is derived)."""
     _check_schema(doc)
     reg = Registry(enabled=True)
     for name, value in doc.get("counters", {}).items():
@@ -108,7 +105,7 @@ def merge_doc(reg: Registry, doc: Dict[str, Any]) -> Registry:
     queue depth, starvation high-water, last seed — reads correctly under
     max, and summing a level is always wrong); histograms combine
     count/total, take the min/max envelope, and add bucket counts
-    elementwise (skipped when the incoming document has no buckets or a
+    elementwise (skipped when an incoming histogram has no buckets or a
     different bucket layout — quantiles then degrade to the min/max
     interpolation, summaries stay exact); span stats combine per
     ``(name, parent)`` key.  This is how the pipeline folds each worker

@@ -132,13 +132,14 @@ class Histogram:
     def quantile(self, q: float) -> Optional[float]:
         """Estimate the ``q``-quantile (``0 <= q <= 1``) from the bucket
         counts by linear interpolation within the winning bucket, clamped
-        to the observed min/max.  Registries rebuilt from bucket-less
-        ``repro-telemetry/1`` documents fall back to interpolating
-        between min and max."""
+        to the observed min/max.  A histogram whose buckets do not cover
+        every observation (one merged from a document with no buckets or
+        a foreign bucket layout) falls back to interpolating between min
+        and max."""
         if not self.count:
             return None
         if sum(self.buckets) < self.count:
-            # Buckets incomplete (merged from a /1 export): min/max line.
+            # Buckets incomplete: min/max line.
             lo = self.min if self.min is not None else 0.0
             hi = self.max if self.max is not None else lo
             return lo + (hi - lo) * q

@@ -200,6 +200,26 @@ class TestStatsCommand:
         assert "ran demo()" in out
         assert "checker.vt.V5-Attach" in out
 
+    def test_stats_records_runtime_failure(self, fcl_file, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "m.json"
+        path = fcl_file("def main() : int { 1 / 0 }\n")
+        assert main(["stats", path, "--metrics-json", str(out)]) == 3
+        failures = json.loads(out.read_text())["failures"]
+        assert [(f["file"], f["code"]) for f in failures] == [
+            (path, "MachineError")
+        ]
+        assert "division by zero" in capsys.readouterr().err
+
+    def test_stats_records_check_failure(self, fcl_file, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "m.json"
+        assert main(["stats", fcl_file(BAD), "--metrics-json", str(out)]) == 1
+        failures = json.loads(out.read_text())["failures"]
+        assert [f["code"] for f in failures] == ["SendError"]
+
     def test_stats_restores_disabled_registry(self, fcl_file, capsys):
         from repro import telemetry
 
@@ -330,6 +350,21 @@ class TestExitCodes:
             == 3
         )
         assert "step budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "FILE", "--mode", "process"],
+            ["verify", "FILE", "--mode", "serial"],
+            ["corpus", "--mode", "process"],
+        ],
+    )
+    def test_retired_mode_flag_is_a_usage_error(self, argv, fcl_file, capsys):
+        path = fcl_file(GOOD)
+        with pytest.raises(SystemExit) as excinfo:
+            main([path if arg == "FILE" else arg for arg in argv])
+        assert excinfo.value.code == 64
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_usage_error_is_sixty_four(self, fcl_file, capsys):
         # argparse-level: unknown subcommand and unknown flag.

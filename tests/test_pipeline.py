@@ -185,16 +185,42 @@ class TestPipelineCache:
         assert again.counts() == {"hit": 4, "miss": 0, "stale": 0}
 
     def test_check_only_mode_reads_but_never_writes(self, tmp_path):
-        with Pipeline(jobs=1, cache_dir=str(tmp_path), verify=False) as pipeline:
+        with Pipeline(cache_dir=str(tmp_path)) as pipeline:
+            assert pipeline.run("p", SOURCE, verify=False).ok
+            # Nothing was verified, so nothing may be cached (only
+            # verified certificates are sound to replay).
+            assert len(CertCache(str(tmp_path))) == 0
             assert pipeline.run("p", SOURCE).ok
-        # Nothing was verified, so nothing may be cached (only verified
-        # certificates are sound to replay).
-        assert len(CertCache(str(tmp_path))) == 0
-        with Pipeline(jobs=1, cache_dir=str(tmp_path)) as pipeline:
-            assert pipeline.run("p", SOURCE).ok
-        with Pipeline(jobs=1, cache_dir=str(tmp_path), verify=False) as pipeline:
-            result = pipeline.run("p", SOURCE)
+            result = pipeline.run("p", SOURCE, verify=False)
         assert result.counts()["hit"] == 4
+
+    def test_cache_counters_only_with_a_cache(self, tmp_path):
+        reg = telemetry.enable()
+        with Pipeline() as pipeline:
+            assert pipeline.run("p", SOURCE).ok
+        telemetry.disable()
+        assert not any(n.startswith("pipeline.cache.") for n in reg.counters)
+        assert reg.value("pipeline.files") == 1
+        reg = telemetry.enable()
+        with Pipeline(cache_dir=str(tmp_path)) as pipeline:
+            assert pipeline.run("p", SOURCE).ok
+        telemetry.disable()
+        assert reg.value("pipeline.cache.miss") == 4
+        assert reg.value("pipeline.cache.hit") == 0
+
+    def test_run_uses_the_callers_warm_session(self, monkeypatch):
+        session = ProgramSession(SOURCE)
+        built = []
+        monkeypatch.setattr(
+            "repro.pipeline.runner.ProgramSession",
+            lambda *a, **k: built.append(a) or ProgramSession(*a, **k),
+        )
+        with Pipeline() as pipeline:
+            result = pipeline.run("p", SOURCE, session=session)
+        assert result.ok and built == []
+        with Pipeline() as pipeline:
+            assert pipeline.run("p", SOURCE).ok
+        assert len(built) == 1
 
 
 def _counters(reg):
@@ -312,7 +338,7 @@ def z_ok(x : int) : int { x + 2 }
 
         tr = telemetry.Tracer(capacity=4096)
         with telemetry.use_tracer(tr):
-            with Pipeline(jobs=2, mode="process") as pipeline:
+            with Pipeline(jobs=2) as pipeline:
                 result = pipeline.run("bad-mid", self.BAD_MID)
         assert not result.ok
         events = tr.events()

@@ -175,6 +175,18 @@ class TestParity:
                     local = api.verify(source, filename=name).to_dict()
                     assert canon(warm) == canon(local), name
 
+    def test_cache_backed_verify_failure_parity(self, tmp_path):
+        # With or without a certificate cache, verify goes through the
+        # same facade path and reports a rejection identically.
+        service = Service(cache_dir=str(tmp_path / "cache"))
+        try:
+            for case in NEGATIVE_CASES:
+                local = api.verify(case.source, filename=case.name).to_dict()
+                remote = service.verify(case.source, case.name)
+                assert canon(remote) == canon(local), case.name
+        finally:
+            service.close()
+
     def test_memo_hit_returns_same_payload(self):
         with ServerThread(_unix_config()) as handle:
             with Client(handle.address) as client:
@@ -259,6 +271,23 @@ class TestRobustness:
                         {"source": GOOD, "function": "add", "args": ["x"]},
                     )
                 assert excinfo.value.code == "invalid-request"
+
+    def test_session_crash_is_internal_and_built_once(self, monkeypatch):
+        built = []
+
+        class Exploding:
+            def __init__(self, source, *args, **kwargs):
+                built.append(source)
+                raise RuntimeError("session construction crashed")
+
+        monkeypatch.setattr("repro.pipeline.session.ProgramSession", Exploding)
+        with ServerThread(_unix_config()) as handle:
+            with Client(handle.address) as client:
+                with pytest.raises(RemoteError) as excinfo:
+                    client.call("check", {"source": GOOD})
+                assert excinfo.value.code == "internal"
+                assert client.ping()["pong"] is True
+        assert built == [GOOD]
 
     def test_oversize_frame_recovery(self):
         config = _unix_config(max_frame=1024)

@@ -126,8 +126,10 @@ class TestQuantiles:
         assert hist.quantile(1.0) == 100.0
 
     def test_bucketless_doc_falls_back_to_minmax_interpolation(self):
+        # A histogram without buckets covering every observation (here
+        # none at all) cannot place its quantiles: min/max line.
         doc = {
-            "schema": "repro-telemetry/1",
+            "schema": "repro-telemetry/2",
             "counters": {},
             "histograms": {
                 "h": {"count": 4, "total": 20.0, "min": 2.0, "max": 8.0,
@@ -268,26 +270,18 @@ class TestMergeDoc:
         hist = reg.histogram("h")
         assert hist.min == 4.0 and hist.max == 4.0
 
-    def test_v1_doc_without_buckets_degrades_quantiles_only(self):
-        reg = Registry()
-        reg.observe("h", 1.0)
+    def test_v1_doc_is_rejected(self):
+        # repro-telemetry/1 (no gauges, no buckets) is no longer read.
         old = {
             "schema": "repro-telemetry/1",
             "counters": {"c": 1},
-            "histograms": {
-                "h": {"count": 1, "total": 9.0, "min": 9.0, "max": 9.0,
-                      "mean": 9.0},
-            },
+            "histograms": {},
             "spans": [],
         }
-        merge_doc(reg, old)
-        hist = reg.histogram("h")
-        # Summary stays exact; buckets are incomplete so quantiles fall
-        # back to min/max interpolation instead of lying.
-        assert hist.count == 2 and hist.total == pytest.approx(10.0)
-        assert sum(hist.buckets) == 1
-        assert hist.min <= hist.quantile(0.5) <= hist.max
-        assert reg.value("c") == 1
+        with pytest.raises(ValueError, match="repro-telemetry/1"):
+            merge_doc(Registry(), old)
+        with pytest.raises(ValueError, match="repro-telemetry/1"):
+            doc_to_registry(old)
 
     def test_mismatched_bucket_layout_is_skipped(self):
         reg = Registry()

@@ -1,19 +1,19 @@
-"""Thread-parallel in-process checking.
+"""Concurrent in-process checking.
 
 The persistent checker core promises that many threads can check
-concurrently against one warm :class:`ProgramSession` with zero copies,
-and that the pipeline's thread mode is counter-identical to a serial
-run.  These tests cover:
+concurrently against one warm :class:`ProgramSession` with zero copies —
+the daemon answers requests on ``--threads`` workers that share its
+session LRU.  These tests cover:
 
-* thread-vs-serial parity (results, diagnostics, merged telemetry) on the
-  positive and negative corpus, mirroring the process-mode parity suite;
-* execution-mode selection (auto picks serial for one job, threads for
-  many; explicit modes are honored; bad modes rejected) and the
-  ``pipeline.mode.*`` counters;
+* thread-vs-serial parity (results, diagnostics, telemetry) of facade
+  and pipeline runs on the positive and negative corpus, and agreement
+  with the process pool;
+* execution selection: ``jobs=1`` runs in-process, ``jobs>1`` on the
+  process pool, and the retired ``mode``/``jobs`` keywords are rejected;
 * 8-thread stress: Region interning identity, concurrent check/verify
   against one shared warm session, and the shared IR compile cache;
-* the redesigned ``repro.api`` facade: ``jobs=``/``mode=`` kwargs and the
-  public :class:`api.Session` handle.
+* the ``repro.api`` facade: the ``pipeline=`` keyword and the public
+  :class:`api.Session` handle.
 """
 
 import threading
@@ -22,8 +22,6 @@ import pytest
 
 from repro import api, telemetry
 from repro.api import CheckResult, VerifyResult
-from repro.core.checker import Checker
-from repro.core.errors import TypeError_
 from repro.core.regions import Region
 from repro.corpus import load_source
 from repro.corpus.negative import NEGATIVE_CASES
@@ -34,7 +32,6 @@ from repro.ir.bytecode import (
 )
 from repro.lang import parse_program
 from repro.pipeline import Pipeline, ProgramSession
-from repro.verifier import Verifier
 
 GOOD = """
 struct data { v : int; }
@@ -92,123 +89,102 @@ def _fan_out(work, n=THREADS):
 class TestThreadSerialParity:
     def test_corpus_results_and_metrics_agree(self):
         source = load_source("dll")
+        session = ProgramSession(source)
+        api.verify(source, session=session)  # warm every lazy table
         reg = telemetry.enable()
-        program = parse_program(source)
-        derivation = Checker(program).check_program()
-        nodes = Verifier(program).verify_program(derivation)
+        serial = api.verify(source, session=session).to_dict()
         telemetry.disable()
         baseline = {n: c.value for n, c in reg.counters.items()}
 
-        for jobs in (1, 4):
-            reg = telemetry.enable()
-            with Pipeline(jobs=jobs, mode="thread") as pipeline:
-                result = pipeline.run("dll", source)
-            telemetry.disable()
-            assert result.ok
-            assert result.nodes == derivation.node_count()
-            assert result.verified == nodes
-            assert _counters(reg) == baseline
+        rows = [None] * THREADS
+        reg = telemetry.enable()
+
+        def work(i):
+            rows[i] = api.verify(source, session=session).to_dict()
+
+        _fan_out(work)
+        telemetry.disable()
+        assert serial["ok"]
+        assert all(row == serial for row in rows)
+        assert {n: c.value for n, c in reg.counters.items()} == {
+            n: THREADS * v for n, v in baseline.items()
+        }
 
     def test_negative_corpus_diagnostics_and_metrics_agree(self):
-        parsable = []
-        for case in NEGATIVE_CASES:
-            try:
-                program = parse_program(case.source)
-            except Exception:
-                continue
-            reg = telemetry.enable()
-            try:
-                Checker(program).check_program()
-                serial = None
-            except TypeError_ as exc:
-                serial = (type(exc).__name__, exc.message, exc.span)
-            finally:
-                telemetry.disable()
-            parsable.append(
-                (case, serial, {n: c.value for n, c in reg.counters.items()})
-            )
-        assert parsable, "negative corpus should have parsable cases"
+        cases = list(NEGATIVE_CASES)
+        reg = telemetry.enable()
+        serial = [api.check(case.source, filename=case.name) for case in cases]
+        telemetry.disable()
+        baseline = _counters(reg)
+        assert any(not r.ok for r in serial)
 
-        with Pipeline(jobs=4, mode="thread") as pipeline:
-            for case, serial, counters in parsable:
-                reg = telemetry.enable()
-                result = pipeline.run(case.name, case.source)
-                telemetry.disable()
-                if serial is None:
-                    assert result.ok
-                else:
-                    cls, message, span = serial
-                    error = result.error
-                    assert not result.ok
-                    assert error.stage == "check"
-                    assert error.cls == cls
-                    assert error.message == message
-                    if span is not None:
-                        assert error.span == (
-                            span.start,
-                            span.end,
-                            span.line,
-                            span.column,
-                        )
-                assert _counters(reg) == counters
+        rows = [None] * len(cases)
+        reg = telemetry.enable()
+
+        def work(i):
+            for index in range(i, len(cases), THREADS):
+                case = cases[index]
+                rows[index] = api.check(case.source, filename=case.name)
+
+        _fan_out(work)
+        telemetry.disable()
+        assert [r.to_dict() for r in rows] == [r.to_dict() for r in serial]
+        assert _counters(reg) == baseline
 
     def test_thread_and_process_modes_agree(self):
         source = load_source("sll")
-        results = {}
-        for mode in ("serial", "thread", "process"):
-            with Pipeline(jobs=2, mode=mode) as pipeline:
-                results[mode] = pipeline.run("sll", source)
-        assert results["serial"].ok
-        assert (
-            results["serial"].nodes
-            == results["thread"].nodes
-            == results["process"].nodes
-        )
-        assert (
-            results["serial"].verified
-            == results["thread"].verified
-            == results["process"].verified
-        )
+        session = ProgramSession(source)
+        with Pipeline() as pipeline:
+            serial = pipeline.run("sll", source)
+        threaded = [None] * THREADS
+
+        def work(i):
+            threaded[i] = Pipeline().run("sll", source, session=session)
+
+        _fan_out(work)
+        with Pipeline(jobs=2) as pipeline:
+            process = pipeline.run("sll", source)
+        assert serial.ok
+        for result in threaded + [process]:
+            assert (result.nodes, result.verified) == (
+                serial.nodes,
+                serial.verified,
+            )
 
 
 class TestModeSelection:
     def test_auto_mode_defaults(self):
-        with Pipeline(jobs=1) as one, Pipeline(jobs=4) as many:
-            assert one.mode == "serial"
-            assert many.mode == "thread"
-
-    def test_explicit_modes_are_honored(self):
-        for mode in ("serial", "thread", "process"):
-            with Pipeline(jobs=2, mode=mode) as pipeline:
-                assert pipeline.mode == mode
-
-    def test_auto_alias_means_unset(self):
-        with Pipeline(jobs=4, mode="auto") as pipeline:
-            assert pipeline.mode == "thread"
+        # ``jobs`` alone selects the execution: 1 (the default) checks
+        # in-process, more fan out over the process pool.
+        with Pipeline() as one, Pipeline(jobs=2) as many:
+            assert one.jobs == 1
+            assert one.run("good", GOOD).ok
+            assert one._executor is None
+            assert many.run("good", GOOD).ok
+            assert many._executor is not None
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Pipeline(mode="fibers")
-
-    def test_mode_counter_incremented(self):
-        for mode, expected in (
-            ("serial", "pipeline.mode.serial"),
-            ("thread", "pipeline.mode.thread"),
-            ("process", "pipeline.mode.process"),
-        ):
-            reg = telemetry.enable()
-            with Pipeline(jobs=2, mode=mode) as pipeline:
-                pipeline.run("good", GOOD)
-            telemetry.disable()
-            assert reg.counters[expected].value == 1
+        # The thread/process/serial mode knob is gone everywhere.
+        with pytest.raises(TypeError):
+            Pipeline(mode="serial")
+        with pytest.raises(TypeError):
+            api.check(GOOD, mode="serial")
+        with pytest.raises(TypeError):
+            api.verify(GOOD, jobs=4)
+        with pytest.raises(TypeError):
+            api.Session(GOOD).check(jobs=4)
 
     def test_empty_task_list_counts_as_serial(self):
         reg = telemetry.enable()
-        with Pipeline(jobs=4, mode="thread") as pipeline:
-            pipeline.run("empty", "struct lonely { v : int; }")
+        with Pipeline(jobs=4) as pipeline:
+            result = pipeline.run("empty", "struct lonely { v : int; }")
+            assert pipeline._executor is None  # no pool for no tasks
         telemetry.disable()
-        assert reg.counters["pipeline.mode.serial"].value == 1
-        assert "pipeline.mode.thread" not in reg.counters
+        assert result.ok and result.functions == []
+        assert not any(
+            n.startswith("pipeline.mode") or n == "pipeline.jobs"
+            for n in reg.counters
+        )
 
 
 class TestEightThreadStress:
@@ -298,38 +274,52 @@ class TestEightThreadStress:
 
 class TestApiParallel:
     def test_check_thread_mode_matches_serial(self):
+        session = ProgramSession(GOOD)
         serial = api.check(GOOD)
-        threaded = api.check(GOOD, jobs=4, mode="thread")
-        assert isinstance(threaded, CheckResult)
-        assert threaded.to_dict() == serial.to_dict()
+        rows = [None] * THREADS
+
+        def work(i):
+            rows[i] = api.check(GOOD, session=session)
+
+        _fan_out(work)
+        assert all(isinstance(row, CheckResult) for row in rows)
+        assert all(row.to_dict() == serial.to_dict() for row in rows)
 
     def test_verify_thread_mode_matches_serial(self):
+        session = ProgramSession(GOOD)
         serial = api.verify(GOOD)
-        threaded = api.verify(GOOD, jobs=4, mode="thread")
-        assert isinstance(threaded, VerifyResult)
-        assert threaded.to_dict() == serial.to_dict()
+        rows = [None] * THREADS
 
-    def test_jobs_without_mode_selects_thread_pool(self):
-        serial = api.check(GOOD)
-        auto = api.check(GOOD, jobs=4)
-        assert auto.to_dict() == serial.to_dict()
+        def work(i):
+            rows[i] = api.verify(GOOD, session=session)
+
+        _fan_out(work)
+        assert all(isinstance(row, VerifyResult) for row in rows)
+        assert all(row.to_dict() == serial.to_dict() for row in rows)
+
+    def test_check_process_pool_matches_serial(self):
+        with Pipeline(jobs=2) as pipeline:
+            pooled = api.check(GOOD, pipeline=pipeline)
+            assert pipeline._executor is not None
+        assert pooled.to_dict() == api.check(GOOD).to_dict()
+
+    def test_verify_process_pool_matches_serial(self):
+        with Pipeline(jobs=2) as pipeline:
+            pooled = api.verify(GOOD, pipeline=pipeline)
+        assert pooled.to_dict() == api.verify(GOOD).to_dict()
 
     def test_type_error_diagnostics_match_serial(self):
         serial = api.check(BAD_TYPE, filename="bad.fcl")
-        threaded = api.check(BAD_TYPE, filename="bad.fcl", jobs=4, mode="thread")
-        assert not threaded.ok
-        assert threaded.to_dict() == serial.to_dict()
+        with Pipeline(jobs=4) as pipeline:
+            pooled = api.check(BAD_TYPE, filename="bad.fcl", pipeline=pipeline)
+        assert not pooled.ok
+        assert pooled.to_dict() == serial.to_dict()
 
     def test_syntax_error_is_diagnostic_not_exception(self):
-        result = api.check("struct {", jobs=4, mode="thread")
+        with Pipeline(jobs=4) as pipeline:
+            result = api.check("struct {", pipeline=pipeline)
         assert not result.ok
         assert result.diagnostics[0].code == "ParseError"
-
-    def test_explicit_serial_mode_takes_facade_fast_path(self):
-        assert (
-            api.check(GOOD, jobs=1, mode="serial").to_dict()
-            == api.check(GOOD).to_dict()
-        )
 
 
 class TestApiSession:
@@ -349,10 +339,14 @@ class TestApiSession:
 
     def test_session_parallel_check_matches_serial(self):
         session = api.Session(GOOD)
-        assert (
-            session.check(jobs=4, mode="thread").to_dict()
-            == session.check().to_dict()
-        )
+        serial = (session.check().to_dict(), session.verify().to_dict())
+        rows = [None] * THREADS
+
+        def work(i):
+            rows[i] = (session.check().to_dict(), session.verify().to_dict())
+
+        _fan_out(work)
+        assert all(row == serial for row in rows)
 
     def test_session_run(self):
         session = api.Session(GOOD)
