@@ -28,6 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
+from ..lang.parser import parse_type_text
 from ..telemetry import registry as _telemetry
 from .contexts import ContextError, StaticContext
 from .errors import UnificationError
@@ -100,9 +101,7 @@ def apply_step(ctx: StaticContext, step: Step) -> None:
         ctx.add_region(args[0])
     elif rule == "W-Bind":
         name, ty_text, region = args
-        from ..lang.parser import Parser  # local import to avoid a cycle
-
-        ty = Parser(ty_text).parse_type()
+        ty = parse_type_text(ty_text)
         if region is not None and region not in ctx.heap:
             raise ContextError(f"W-Bind: region {region} absent")
         ctx.set_binding(name, ty, region)

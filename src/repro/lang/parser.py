@@ -21,6 +21,7 @@ Grammar sketch (see DESIGN.md §3 and the paper's fig 6 / §4.9)::
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import ast
@@ -455,6 +456,15 @@ class Parser:
 def parse_program(source: str) -> ast.Program:
     """Parse a complete FCL program (structs + functions)."""
     return Parser(source).parse_program()
+
+
+@lru_cache(maxsize=4096)
+def parse_type_text(text: str) -> ast.Type:
+    """Parse the printed form of a type, as derivation snapshots and
+    recorded steps carry it.  Memoized: type texts repeat across every
+    context of a program, and the :class:`ast.Type` values are frozen, so
+    one parse can be shared by every caller."""
+    return Parser(text).parse_type()
 
 
 def parse_expr(source: str) -> ast.Expr:

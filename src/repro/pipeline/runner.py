@@ -43,7 +43,7 @@ from ..core.serialize import func_derivation_to_json
 from ..verifier import VerificationError
 from .cache import CacheEntry, CertCache
 from .session import ProgramSession
-from .worker import init_worker, run_function_task
+from .worker import init_worker, observe_certificate, run_function_task
 
 
 @dataclass
@@ -353,11 +353,9 @@ class Pipeline:
                         out["ok"] = False
                         outcomes[name] = out
                         return outcomes
-                    out["cert"] = (
-                        func_derivation_to_json(fresh[name])
-                        if self.cache is not None
-                        else None
-                    )
+                    if self.cache is not None:
+                        out["cert"] = func_derivation_to_json(fresh[name])
+                        observe_certificate(reg, out["cert"])
                 out["ms"] += (time.perf_counter() - t0) * 1000.0
                 outcomes[name] = out
                 if out["error"] is not None:
@@ -371,6 +369,7 @@ class Pipeline:
 
         try:
             fd = func_derivation_from_json(name, cert)
+            observe_certificate(tel.registry(), cert)
             verified = session.verify_function(fd)
             return _outcome(
                 name, cached="hit", nodes=fd.body.node_count(), verified=verified
@@ -385,6 +384,7 @@ class Pipeline:
             out["verified"] = session.verify_function(fd)
             if self.cache is not None:
                 out["cert"] = func_derivation_to_json(fd)
+                observe_certificate(tel.registry(), out["cert"])
         except TypeError_ as exc:
             out.update(ok=False, error=ErrorInfo.from_exception("check", exc))
         except VerificationError as exc:

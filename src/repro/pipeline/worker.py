@@ -74,6 +74,13 @@ def span_from_tuple(data) -> Optional[SourceSpan]:
     return SourceSpan(start, end, line, column)
 
 
+def observe_certificate(reg: Optional[tel.Registry], cert: str) -> None:
+    """Record a certificate's JSON wire size where the pipeline already
+    holds the JSON: a cache read on replay, a cache write after a verify."""
+    if reg is not None and reg.enabled:
+        reg.observe("verifier.certificate_bytes", len(cert.encode("utf-8")))
+
+
 def _error_record(stage: str, exc: BaseException, crash: bool = False):
     return {
         "stage": stage,
@@ -144,6 +151,7 @@ def _run_function_task(task: Dict[str, Any]) -> Dict[str, Any]:
         with tel.use_local(verify_reg) if collect else _noop():
             try:
                 fd = func_derivation_from_json(name, task["cert"])
+                observe_certificate(verify_reg, task["cert"])
                 result["verified"] = session.verify_function(fd)
             except (VerificationError, ValueError, KeyError, TypeError):
                 # The stored certificate no longer replays (tampered,
@@ -177,6 +185,7 @@ def _run_function_task(task: Dict[str, Any]) -> Dict[str, Any]:
                 result["ok"] = True
                 if task["want_cert"]:
                     result["cert"] = func_derivation_to_json(fd)
+                    observe_certificate(verify_reg, result["cert"])
 
     if collect:
         result["check_doc"] = tel.registry_to_doc(check_reg)

@@ -5,8 +5,11 @@ The prover (:mod:`repro.core.checker`) performs heuristic search; nothing it
 does is trusted here.  The verifier re-validates a :class:`ProgramDerivation`
 node by node:
 
-* every node's *pre* context is reconstructed from its snapshot and checked
-  well-formed;
+* every node's *pre* and *post* contexts are reconstructed from their
+  snapshots and checked well-formed — once per distinct snapshot of a
+  function certificate: a child's *pre* is its predecessor's *post*, so
+  the same snapshot recurs at many nodes, and every use after the first
+  takes an O(1) persistent clone of the one reconstruction;
 * children must chain: each child starts exactly where its predecessor (or
   the parent) ended;
 * all recorded virtual transformations and weakenings are **replayed**
@@ -40,7 +43,7 @@ from ..core.functypes import FuncType, elaborate
 from ..core.regions import Region, RegionSupply
 from ..core.unify import Step, apply_step
 from ..lang import ast
-from ..lang.parser import Parser
+from ..lang.parser import parse_type_text
 from ..telemetry import registry as _telemetry
 
 
@@ -52,10 +55,6 @@ class VerificationError(Exception):
             message = f"{node.rule} [{node.expr}]: {message}"
         super().__init__(message)
         self.node = node
-
-
-def _parse_type(text: str) -> ast.Type:
-    return Parser(text).parse_type()
 
 
 def context_from_snapshot(snap: ContextSnap) -> StaticContext:
@@ -77,10 +76,10 @@ def context_from_snapshot(snap: ContextSnap) -> StaticContext:
     for name, ty_text, rid in gamma_snap:
         region = None if rid < 0 else Region(rid)
         max_id = max(max_id, rid)
-        ctx.gamma[name] = Binding(_parse_type(ty_text), region)
+        ctx.gamma[name] = Binding(parse_type_text(ty_text), region)
     ctx.supply = RegionSupply(max_id + 1)
     # The graph was assembled from scratch above; claiming ownership lets
-    # derivation replay mutate it in place without path-copying.
+    # a caller edit it in place without path-copying.
     ctx.claim_ownership()
     ctx.mark_dirty()
     return ctx
@@ -133,12 +132,54 @@ class Verifier:
     def verify_function(self, fd: FuncDerivation) -> int:
         tel = _telemetry()
         if tel.enabled:
-            tel.observe("verifier.certificate_bytes", _certificate_bytes(fd))
             with tel.span(f"verify.fn.{fd.name}"):
-                return self._verify_function(fd)
-        return self._verify_function(fd)
+                return _CertificateCheck(self).verify(fd)
+        return _CertificateCheck(self).verify(fd)
 
-    def _verify_function(self, fd: FuncDerivation) -> int:
+
+class _CertificateCheck:
+    """The verification of one function certificate.  Each distinct
+    snapshot is rebuilt and checked well-formed once into a base context;
+    replay takes a ``clone()``, so the base never changes.  The table dies
+    with the check: a long-lived :class:`Verifier` holds nothing."""
+
+    def __init__(self, verifier: Verifier):
+        self.program = verifier.program
+        self.functypes = verifier.functypes
+        self._bases: Dict[ContextSnap, Tuple[StaticContext, Optional[str]]] = {}
+
+    def _entry(self, snap: ContextSnap) -> Tuple[StaticContext, Optional[str]]:
+        entry = self._bases.get(snap)
+        if entry is None:
+            ctx = context_from_snapshot(snap)
+            try:
+                ctx.check_well_formed()
+                problem = None
+            except ContextError as exc:
+                problem = str(exc)
+            entry = self._bases[snap] = (ctx, problem)
+            tel = _telemetry()
+            if tel.enabled:
+                tel.inc("verifier.contexts_built")
+        return entry
+
+    def _base(self, snap: ContextSnap) -> StaticContext:
+        """The shared reconstruction of ``snap``: read it, never mutate it."""
+        return self._entry(snap)[0]
+
+    def _copy(self, snap: ContextSnap) -> StaticContext:
+        """A private, mutable copy of the context ``snap`` denotes."""
+        return self._base(snap).clone()
+
+    def _checked(self, snap: ContextSnap) -> StaticContext:
+        """The shared reconstruction of ``snap``, which must be well formed
+        (a fresh :class:`ContextError` per use otherwise)."""
+        ctx, problem = self._entry(snap)
+        if problem is not None:
+            raise ContextError(problem)
+        return ctx
+
+    def verify(self, fd: FuncDerivation) -> int:
         ftype = self.functypes.get(fd.name)
         if ftype is None:
             raise VerificationError(f"derivation for unknown function {fd.name!r}")
@@ -150,7 +191,7 @@ class Verifier:
             raise VerificationError("T0 snapshots disagree with the interface", node)
         if node.type_ != fd.result_type or node.region != fd.result_region:
             raise VerificationError("T0 result type/region disagree with the interface", node)
-        post = context_from_snapshot(fd.output_snap)
+        post = self._base(fd.output_snap)
         declared_result = post.lookup(RESULT)
         declared_region = (
             None if declared_result.region is None else declared_result.region.ident
@@ -165,8 +206,8 @@ class Verifier:
         if body.pre != node.pre:
             raise VerificationError("body does not start at the input context", node)
         count = self._verify_node(body)
-        ctx = context_from_snapshot(body.post)
-        ctx.bind(RESULT, _parse_type(body.type_), _region(body.region))
+        ctx = self._copy(body.post)
+        ctx.bind(RESULT, parse_type_text(body.type_), _region(body.region))
         self._replay(ctx, node.steps, node)
         if ctx.snapshot() != node.post:
             raise VerificationError(
@@ -179,8 +220,7 @@ class Verifier:
     # ------------------------------------------------------------------
 
     def _check_interface(self, ftype: FuncType, fd: FuncDerivation) -> None:
-        pre = context_from_snapshot(fd.input_snap)
-        pre.check_well_formed()
+        pre = self._checked(fd.input_snap)
         # Params bound with the declared types; region variables realized
         # injectively; tracking contexts empty and unpinned at input.
         realized: Dict[int, Region] = {}
@@ -233,8 +273,7 @@ class Verifier:
         if set(pre.heap) != set(realized.values()):
             raise VerificationError(f"{fd.name}: stray input regions")
 
-        post = context_from_snapshot(fd.output_snap)
-        post.check_well_formed()
+        post = self._checked(fd.output_snap)
         out_realized: Dict[int, Region] = {}
         expected_vars = set()
         for pname, pty in ftype.params:
@@ -314,18 +353,16 @@ class Verifier:
         if tel.enabled:
             tel.inc("verifier.obligations")
             tel.inc(f"verifier.rule.{node.rule}")
-        pre = context_from_snapshot(node.pre)
         try:
-            pre.check_well_formed()
+            pre = self._checked(node.pre)
         except ContextError as exc:
             raise VerificationError(f"ill-formed pre context: {exc}", node) from exc
         handler = self._RULES.get(node.rule)
         if handler is None:
             raise VerificationError(f"unknown rule {node.rule!r}", node)
         handler(self, node, pre)
-        post = context_from_snapshot(node.post)
         try:
-            post.check_well_formed()
+            self._checked(node.post)
         except ContextError as exc:
             raise VerificationError(f"ill-formed post context: {exc}", node) from exc
         count = 1
@@ -369,7 +406,7 @@ class Verifier:
     ) -> None:
         """Default linear protocol: children chain, then node.steps run."""
         current = self._chain(node, children)
-        ctx = context_from_snapshot(current)
+        ctx = self._copy(current)
         self._replay(ctx, node.steps, node)
         if ctx.snapshot() != node.post:
             raise VerificationError(
@@ -379,14 +416,13 @@ class Verifier:
     def _require_region_in_post(self, node: Derivation) -> None:
         if node.region is None:
             return
-        post = context_from_snapshot(node.post)
-        if Region(node.region) not in post.heap:
+        if Region(node.region) not in self._base(node.post).heap:
             raise VerificationError(
                 f"result region r{node.region} absent from post context", node
             )
 
     def _field_decl(self, node: Derivation, base_ty_text: str, fieldname: str):
-        base = ast.strip_maybe(_parse_type(base_ty_text))
+        base = ast.strip_maybe(parse_type_text(base_ty_text))
         if not base.is_struct():
             raise VerificationError(f"field access on non-struct {base}", node)
         try:
@@ -406,7 +442,7 @@ class Verifier:
             raise VerificationError("literals are region-free", node)
 
     def _rule_none(self, node: Derivation, pre: StaticContext) -> None:
-        ty = _parse_type(node.type_)
+        ty = parse_type_text(node.type_)
         if not isinstance(ty, ast.MaybeType):
             raise VerificationError("none must have a maybe type", node)
         self._chain_and_replay(node, node.children)
@@ -459,8 +495,7 @@ class Verifier:
         decl = self._field_decl(node, base.type_, fieldname)
         if not decl.is_iso:
             raise VerificationError("T5 applied to a non-iso field", node)
-        post = context_from_snapshot(node.post)
-        tv = post.tracked_var(name)
+        tv = self._base(node.post).tracked_var(name)
         if tv is None or fieldname not in tv.fields:
             raise VerificationError(
                 f"{name}.{fieldname} not tracked in post context", node
@@ -495,8 +530,7 @@ class Verifier:
         decl = self._field_decl(node, base.type_, fieldname)
         if not decl.is_iso:
             raise VerificationError("T7 applied to a non-iso field", node)
-        post = context_from_snapshot(node.post)
-        tv = post.tracked_var(name)
+        tv = self._base(node.post).tracked_var(name)
         if tv is None or fieldname not in tv.fields:
             raise VerificationError("assigned iso field is not tracked", node)
         target = tv.fields[fieldname]
@@ -550,7 +584,7 @@ class Verifier:
                 raise VerificationError(f"argument {pname!r} lacks a region", node)
             group.setdefault(rv, child.region)
 
-        ctx = context_from_snapshot(current)
+        ctx = self._copy(current)
         merged: Dict[int, Region] = {
             rv: Region(region) for rv, region in group.items()
         }
@@ -695,7 +729,7 @@ class Verifier:
 
     def _rule_recv(self, node: Derivation, pre: StaticContext) -> None:
         self._chain_and_replay(node, node.children)
-        ty = _parse_type(node.type_)
+        ty = parse_type_text(node.type_)
         if not ast.strip_maybe(ty).is_struct():
             raise VerificationError("recv of a non-struct type", node)
         self._require_region_in_post(node)
@@ -707,25 +741,26 @@ class Verifier:
     def _rule_let(self, node: Derivation, pre: StaticContext) -> None:
         self._chain_and_replay(node, node.children)
         name = node.meta.get("var")
-        post = context_from_snapshot(node.post)
-        if not post.has_var(name):
+        if not self._base(node.post).has_var(name):
             raise VerificationError(f"let-bound {name!r} missing from post", node)
 
     def _branch_join(
         self,
         node: Derivation,
         start: ContextSnap,
+        start_ctx: StaticContext,
         then_child: Derivation,
         else_child: Optional[Derivation],
         intro_steps: Tuple[Step, ...],
     ) -> None:
-        """Shared validation for T13/T15/T-LetSome joins."""
-        then_start = context_from_snapshot(start)
+        """Shared validation for T13/T15/T-LetSome joins; both branches
+        start from ``start_ctx``, the context of snapshot ``start``."""
+        then_start = start_ctx.clone()
         self._replay(then_start, intro_steps, node)
         if then_child.pre != then_start.snapshot():
             raise VerificationError("then branch starts at the wrong context", node)
         join_then = node.meta.get("join_then", ())
-        ctx = context_from_snapshot(then_child.post)
+        ctx = self._copy(then_child.post)
         self._replay(ctx, join_then, node)
         if ctx.snapshot() != node.post:
             raise VerificationError(
@@ -737,9 +772,9 @@ class Verifier:
                 raise VerificationError(
                     "else branch starts at the wrong context", node
                 )
-            ctx = context_from_snapshot(else_child.post)
+            ctx = self._copy(else_child.post)
         else:
-            ctx = context_from_snapshot(start)
+            ctx = start_ctx.clone()
         self._replay(ctx, join_else, node)
         if ctx.snapshot() != node.post:
             raise VerificationError(
@@ -755,13 +790,15 @@ class Verifier:
         then_child = node.children[1]
         else_child = node.children[2] if node.meta.get("has_else") else None
         self._verify_join_result(node, then_child, else_child)
-        self._branch_join(node, cond.post, then_child, else_child, ())
+        self._branch_join(
+            node, cond.post, self._base(cond.post), then_child, else_child, ()
+        )
 
     def _rule_let_some(self, node: Derivation, pre: StaticContext) -> None:
         scrut = node.children[0]
         if scrut.pre != node.pre:
             raise VerificationError("scrutinee starts at the wrong context", node)
-        ty = _parse_type(scrut.type_)
+        ty = parse_type_text(scrut.type_)
         if not isinstance(ty, ast.MaybeType):
             raise VerificationError("let-some scrutinee must be a maybe", node)
         intro = tuple(node.meta.get("intro_steps", ()))
@@ -777,7 +814,9 @@ class Verifier:
         then_child = node.children[1]
         else_child = node.children[2] if node.meta.get("has_else") else None
         self._verify_join_result(node, then_child, else_child)
-        self._branch_join(node, scrut.post, then_child, else_child, intro)
+        self._branch_join(
+            node, scrut.post, self._base(scrut.post), then_child, else_child, intro
+        )
 
     def _rule_if_disconnected(self, node: Derivation, pre: StaticContext) -> None:
         left, right = node.children[0], node.children[1]
@@ -789,7 +828,7 @@ class Verifier:
             raise VerificationError(
                 "if-disconnected arguments must share one region", node
             )
-        base = context_from_snapshot(right.post)
+        base = self._copy(right.post)
         self._replay(base, node.steps, node)
         region = node.meta["region"]
         tc = base.heap.get(region)
@@ -800,7 +839,7 @@ class Verifier:
         intro = tuple(node.meta.get("intro_steps", ()))
         # The split must move exactly the left variable to the fresh region,
         # drop every other alias, and ⊥ every inbound tracked field.
-        split = context_from_snapshot(base.snapshot())
+        split = base.clone()
         self._replay(split, intro, node)
         lname, rname = node.meta["left"], node.meta["right"]
         fresh = node.meta["split_region"]
@@ -819,7 +858,9 @@ class Verifier:
         then_child = node.children[2]
         else_child = node.children[3] if node.meta.get("has_else") else None
         self._verify_join_result(node, then_child, else_child)
-        self._branch_join(node, base.snapshot(), then_child, else_child, intro)
+        self._branch_join(
+            node, base.snapshot(), base, then_child, else_child, intro
+        )
 
     def _verify_join_result(
         self,
@@ -837,7 +878,7 @@ class Verifier:
         self._require_region_in_post(node)
 
     def _rule_while(self, node: Derivation, pre: StaticContext) -> None:
-        entry = context_from_snapshot(node.pre)
+        entry = self._copy(node.pre)
         self._replay(entry, node.steps, node)
         entry_snap = entry.snapshot()
         cond, body = node.children[0], node.children[1]
@@ -848,7 +889,7 @@ class Verifier:
         if body.pre != cond.post:
             raise VerificationError("loop body starts at the wrong context", node)
         loop_steps = tuple(node.meta.get("loop_steps", ()))
-        back = context_from_snapshot(body.post)
+        back = self._copy(body.post)
         self._replay(back, loop_steps, node)
         if back.snapshot() != entry_snap:
             raise VerificationError(
@@ -862,7 +903,7 @@ class Verifier:
     def _rule_assign_var(self, node: Derivation, pre: StaticContext) -> None:
         self._chain_and_replay(node, node.children)
         name = node.meta.get("var")
-        post = context_from_snapshot(node.post)
+        post = self._base(node.post)
         if not post.has_var(name):
             raise VerificationError("assigned variable missing from post", node)
         binding = post.lookup(name)
@@ -901,14 +942,6 @@ class Verifier:
 
 
 RESULT = "$result"
-
-
-def _certificate_bytes(fd: FuncDerivation) -> int:
-    """Size of one function's certificate in its JSON wire form — the cost
-    a separate verifying process would pay to receive it."""
-    from ..core.serialize import func_derivation_to_json
-
-    return len(func_derivation_to_json(fd).encode("utf-8"))
 
 
 def _region(ident: Optional[int]) -> Optional[Region]:

@@ -9,6 +9,7 @@ import pytest
 from repro import telemetry
 from repro.core.checker import Checker
 from repro.lang import parse_program
+from repro.pipeline import Pipeline
 from repro.runtime.heap import Heap
 from repro.runtime.machine import run_function
 from repro.telemetry import (
@@ -24,7 +25,6 @@ from repro.telemetry import (
     render_table,
     validate,
 )
-from repro.verifier import Verifier
 
 SOURCE = """
 struct data { v : int; }
@@ -474,11 +474,12 @@ class TestRuntimeInstrumentation:
 
 
 class TestVerifierInstrumentation:
-    def test_obligations_and_certificates(self):
-        program = parse_program(SOURCE)
-        derivation = Checker(program).check_program()
+    def test_obligations_and_certificates(self, tmp_path):
+        # The certificate-size histogram is observed where the pipeline
+        # already holds the JSON, so this drives a cache-backed Pipeline.
         reg = telemetry.enable()
-        Verifier(program).verify_program(derivation)
+        with Pipeline(cache_dir=str(tmp_path)) as pipeline:
+            assert pipeline.run("<test>", SOURCE).ok
         assert reg.value("verifier.certificates") == 2
         assert reg.value("verifier.obligations") > 0
         assert reg.value("verifier.steps_replayed") > 0
