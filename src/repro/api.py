@@ -483,12 +483,14 @@ def run(
     session=None,
 ) -> RunResult:
     """Type-check (unless ``check_first=False``) and run one function
-    single-threaded.  ``max_steps`` bounds execution (the server's step
-    budget); exceeding it is a ``StepLimitExceeded`` diagnostic.
-    ``erased=True`` uses the §3.2 verified-erasure fast path and is only
-    honored when the program was checked.  ``engine`` names the executor;
-    the compiled bytecode engine (``"ir"``, see :mod:`repro.ir`) is the
-    only one, and any other value is a failed result.
+    single-threaded.  The check runs once per ``session``: a warm call
+    reuses the session's verdict (:meth:`ProgramSession.check_once`).
+    ``max_steps`` bounds execution (the server's step budget); exceeding
+    it is a ``StepLimitExceeded`` diagnostic.  ``erased=True`` uses the
+    §3.2 verified-erasure fast path and is only honored when the program
+    was checked.  ``engine`` names the executor; the compiled bytecode
+    engine (``"ir"``, see :mod:`repro.ir`) is the only one, and any
+    other value is a failed result.
     """
     from .runtime.heap import Heap
     from .runtime.machine import run_function
@@ -514,7 +516,7 @@ def run(
             return RunResult(ok=False, engine=engine, diagnostics=failed)
     if check_first:
         try:
-            session.checker.check_program()
+            session.check_once()
         except TypeError_ as exc:
             return RunResult(
                 ok=False,
@@ -576,7 +578,9 @@ class Session:
     :mod:`repro.pipeline`.  The checker core is persistent (path-copied
     contexts, interned regions), so one Session may be shared across
     threads: concurrent ``check`` calls against the same warm Session
-    are safe with zero copies.
+    are safe with zero copies.  ``run`` checks the program once and
+    reuses the verdict on every later call; two threads making the
+    first call at once may both check, which is harmless.
 
     Construction never raises on program errors: a Session whose source
     fails to parse or elaborate has ``ok == False`` and carries the

@@ -574,7 +574,8 @@ def render_table(doc: Dict) -> str:
 
 COMPARE_SCHEMA = "repro-bench-compare/1"
 
-#: Section name -> the row field that identifies a row across runs.
+#: Section name -> the row field that identifies a row across runs.  A
+#: dotted name is a row list nested in a section's object.
 SECTION_KEYS = {
     "corpus": "name",
     "generated": "chain",
@@ -583,7 +584,18 @@ SECTION_KEYS = {
     "pipeline": "workload",
     "modes": "config",  # older reports only
     "server": "workload",
+    "serve_load.throughput": "target",
 }
+
+#: Rates, not times: they regress when they fall.
+HIGHER_IS_BETTER = ("throughput_rps",)
+
+
+def _section_rows(doc: Dict, section: str) -> List[Dict]:
+    node = doc
+    for part in section.split("."):
+        node = node.get(part) if isinstance(node, dict) else None
+    return node or []
 
 
 def compare_docs(
@@ -594,11 +606,12 @@ def compare_docs(
     Rows are matched per section by their key field (program name, chain
     length, ...); rows or sections present in only one document are
     skipped, so reports from different versions stay comparable.  Only
-    wall-clock metrics (``*_ms``) can flag a regression: a metric
-    regresses when it grew by more than ``threshold`` percent AND either
-    side is at least ``min_ms`` (sub-millisecond rows are pure timer
-    noise).  Counter-like fields are deterministic and diffed exactly,
-    informationally.
+    wall-clock metrics (``*_ms``) and rates (:data:`HIGHER_IS_BETTER`)
+    can flag a regression: a time regresses when it grew by more than
+    ``threshold`` percent AND either side is at least ``min_ms``
+    (sub-millisecond rows are pure timer noise); a rate regresses when it
+    fell by more than ``threshold`` percent.  Counter-like fields are
+    deterministic and diffed exactly, informationally.
     """
     for doc, tag in ((old, "old"), (new, "new")):
         if doc.get("schema") != SCHEMA:
@@ -608,9 +621,9 @@ def compare_docs(
     metrics: List[Dict] = []
     for section, keyfield in SECTION_KEYS.items():
         old_rows = {
-            str(r.get(keyfield)): r for r in old.get(section, [])
+            str(r.get(keyfield)): r for r in _section_rows(old, section)
         }
-        for row in new.get(section, []):
+        for row in _section_rows(new, section):
             old_row = old_rows.get(str(row.get(keyfield)))
             if old_row is None:
                 continue
@@ -638,7 +651,8 @@ def compare_docs(
                             timing
                             and delta > threshold
                             and max(old_val, new_val) >= min_ms
-                        ),
+                        )
+                        or (metric in HIGHER_IS_BETTER and delta < -threshold),
                     }
                 )
     return {
@@ -654,10 +668,11 @@ def compare_docs(
 def render_compare(cmp: Dict) -> str:
     lines = [
         f"bench compare: {cmp['old_label']} -> {cmp['new_label']} "
-        f"(regression threshold +{cmp['threshold_pct']:g}% on *_ms)"
+        f"(regression threshold +{cmp['threshold_pct']:g}% on *_ms, "
+        f"-{cmp['threshold_pct']:g}% on rates)"
     ]
     lines.append(
-        f"{'section':>9s} {'row':>14s} {'metric':>16s} {'old':>10s} "
+        f"{'section':>21s} {'row':>14s} {'metric':>16s} {'old':>10s} "
         f"{'new':>10s} {'delta':>8s}"
     )
     for m in cmp["metrics"]:
@@ -665,7 +680,7 @@ def render_compare(cmp: Dict) -> str:
             continue  # unchanged counters: noise-free, not worth a line
         flag = "  << REGRESSION" if m["regression"] else ""
         lines.append(
-            f"{m['section']:>9s} {m['row']:>14s} {m['metric']:>16s} "
+            f"{m['section']:>21s} {m['row']:>14s} {m['metric']:>16s} "
             f"{m['old']:10g} {m['new']:10g} {m['delta_pct']:+7.1f}%{flag}"
         )
     count = len(cmp["regressions"])

@@ -1339,7 +1339,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=50.0,
         metavar="PCT",
-        help="regression tolerance on *_ms metrics, percent (default 50)",
+        help="regression tolerance on *_ms metrics and rates, percent "
+        "(default 50)",
     )
     p.set_defaults(func=cmd_bench)
 

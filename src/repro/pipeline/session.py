@@ -8,14 +8,19 @@ file, elaborate once per program — and hands the shared objects to both
 the prover and the verifier, which is what lets the batch runner fan
 hundreds of per-function jobs out without paying the program-level costs
 hundreds of times.
+
+A session also remembers whether its program type-checks, so a warm
+``api.run`` checks once per session rather than once per call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
+from .. import telemetry as tel
 from ..core.checker import CHECKER_VERSION, Checker, CheckProfile, DEFAULT_PROFILE
 from ..core.derivation import FuncDerivation
+from ..core.errors import TypeError_
 from ..core.functypes import FuncType
 from ..lang import ast, parse_program
 from ..verifier import Verifier
@@ -41,6 +46,10 @@ class ProgramSession:
         self.checker = Checker(self.program, profile=profile, record=record)
         self.verifier = Verifier(self.program, functypes=self.checker.functypes)
         self._fingerprints: Optional[ProgramFingerprints] = None
+        # The check verdict: None until checked, then True or the
+        # rejection.  Like ``ir/bytecode.py``'s per-program compile cache,
+        # it treats ``self.program`` as immutable.
+        self._verdict: Union[None, bool, TypeError_] = None
 
     @property
     def functypes(self) -> Dict[str, FuncType]:
@@ -67,3 +76,31 @@ class ProgramSession:
 
     def verify_function(self, fd: FuncDerivation) -> int:
         return self.verifier.verify_function(fd)
+
+    def check_once(self) -> None:
+        """Raise the program's type error, if it has one.
+
+        The first call runs this session's own checker over the whole
+        program; later calls reuse its verdict (counted as
+        ``checker.verdict_reused``).  Only an accept or a ``TypeError_``
+        is remembered, and only the flag is kept, not the derivation.
+        Nothing else writes the verdict: a :class:`Pipeline` result,
+        cached or trusted certificates included, never marks a session
+        checked.  Two threads making the first call at once may both
+        check; the race is benign, because checking is idempotent.
+        """
+        verdict = self._verdict
+        if verdict is None:
+            try:
+                self.checker.check_program()
+            except TypeError_ as exc:
+                self._verdict = exc
+                raise
+            self._verdict = True
+            return
+        reg = tel.registry()
+        if reg.enabled:
+            reg.inc("checker.verdict_reused")
+        if verdict is not True:
+            # A fresh traceback each time, so repeats do not grow it.
+            raise verdict.with_traceback(None)

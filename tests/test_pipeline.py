@@ -492,6 +492,27 @@ class TestBenchCompare:
         assert cmp["metrics"], "reports must share comparable rows"
         assert cmp["regressions"] == []
 
+    def test_serve_load_rows_compare_by_target(self):
+        root = Path(__file__).parent.parent
+        old = json.loads((root / "BENCH_PR8.json").read_text())
+        new = json.loads((root / "BENCH_PR10.json").read_text())
+        cmp = compare_docs(old, new, threshold=25.0)
+        flagged = {
+            (m["row"], m["metric"])
+            for m in cmp["regressions"]
+            if m["section"] == "serve_load.throughput"
+        }
+        # fleet-1 fell 748.1 -> 523.8 rps (-30%), its p50 rose 260.5 ->
+        # 355.9 ms (+37%); throughput regresses when it falls.
+        assert ("fleet-1", "throughput_rps") in flagged
+        assert ("fleet-1", "p50_ms") in flagged
+        # single-process fell only 7% (920.9 -> 859.5 rps).
+        assert ("single-process", "throughput_rps") not in flagged
+        rows = {
+            (m["row"], m["metric"]): m for m in cmp["metrics"]
+        }
+        assert rows[("fleet-1", "throughput_rps")]["delta_pct"] == -30.0
+
 
 class TestFuzzJobsParity:
     def test_fixed_seed_report_identical_under_jobs(self):
