@@ -427,17 +427,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Check + verify + (optionally) run one program under event-level
     tracing; write the Chrome trace-event JSON document.  The registry is
-    enabled too, so checker/verifier/machine spans ride into the trace
-    through the registry→tracer bridge."""
+    enabled too (before the parse), so parser/checker/verifier/machine
+    spans ride into the trace through the registry→tracer bridge."""
     import json
 
     from . import telemetry
 
-    program = _load(args.file)
-    source = _SOURCES[args.file]
     telemetry.enable()
     tr = telemetry.enable_tracing(capacity=args.buffer)
     try:
+        program = _load(args.file)
+        source = _SOURCES[args.file]
         result = api.check(source, filename=args.file, program=program)
         if not result.ok:
             return _failed(result, source)

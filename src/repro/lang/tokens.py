@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -79,39 +80,13 @@ class TokenKind(enum.Enum):
     EOF = "EOF"
 
 
-#: Keywords mapped from their source spelling to the token kind.
-KEYWORDS = {
+#: Keywords and operators mapped from their source spelling to the token
+#: kind: every kind but the two literal classes and EOF is spelled by its
+#: value.
+SPELLINGS = {
     kind.value: kind
-    for kind in (
-        TokenKind.STRUCT,
-        TokenKind.DEF,
-        TokenKind.ISO,
-        TokenKind.LET,
-        TokenKind.VAR,
-        TokenKind.IN,
-        TokenKind.IF,
-        TokenKind.ELSE,
-        TokenKind.WHILE,
-        TokenKind.DISCONNECTED,
-        TokenKind.SOME,
-        TokenKind.NONE,
-        TokenKind.IS_NONE,
-        TokenKind.IS_SOME,
-        TokenKind.NEW,
-        TokenKind.SEND,
-        TokenKind.RECV,
-        TokenKind.RETURN,
-        TokenKind.TRUE,
-        TokenKind.FALSE,
-        TokenKind.CONSUMES,
-        TokenKind.AFTER,
-        TokenKind.BEFORE,
-        TokenKind.PINNED,
-        TokenKind.RESULT,
-        TokenKind.UNIT_KW,
-        TokenKind.INT_KW,
-        TokenKind.BOOL_KW,
-    )
+    for kind in TokenKind
+    if kind not in (TokenKind.IDENT, TokenKind.INT, TokenKind.EOF)
 }
 
 
@@ -137,13 +112,21 @@ class SourceSpan:
 SYNTHETIC_SPAN = SourceSpan(0, 0, 0, 0)
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token."""
+class Token(NamedTuple):
+    """A single lexical token: its kind, its text, and where it starts
+    (character offset and 1-based line/column).  The :class:`SourceSpan`
+    is built only when read, so tokens that never become an AST span or
+    a diagnostic never pay for one."""
 
     kind: TokenKind
     text: str
-    span: SourceSpan
+    start: int
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.start + len(self.text), self.line, self.column)
 
     def __str__(self) -> str:
-        return f"{self.kind.name}({self.text!r})@{self.span}"
+        return f"{self.kind.name}({self.text!r})@{self.line}:{self.column}"

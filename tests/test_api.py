@@ -315,6 +315,31 @@ class TestDiagnostic:
         text = result.diagnostics[0].render(BAD_TYPE)
         assert "bad.fcl:" in text and "type error" in text and "^" in text
 
+    def test_lex_error_points_at_the_stray_character(self):
+        source = "def f() : int { # }"
+        (diag,) = api.check(source, filename="f.fcl").diagnostics
+        assert diag.code == "LexError"
+        assert diag.message == "unexpected character '#'"
+        assert diag.span == (16, 17, 1, 17)
+        assert diag.render(source) == "\n".join(
+            [
+                "f.fcl:1:17: syntax error: unexpected character '#'",
+                "  |",
+                "1 | def f() : int { # }",
+                "  |                 ^",
+            ]
+        )
+
+    def test_non_ascii_digit_is_a_lex_error(self):
+        # "²" passes str.isdigit() but not int(): a diagnostic, not a raise.
+        result = api.check("def f() : int { ² }")
+        assert not result.ok
+        assert result.exit_code is ExitCode.CHECK_REJECT
+        (diag,) = result.diagnostics
+        assert diag.code == "LexError"
+        assert diag.message == "unexpected character '²'"
+        assert diag.span == (16, 17, 1, 17)
+
 
 class TestExitCode:
     def test_documented_values(self):

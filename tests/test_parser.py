@@ -146,6 +146,12 @@ class TestExpressions:
         with pytest.raises(ParseError):
             parse_expr("new t(a = 1, a = 2)")
 
+    def test_duplicate_init_blames_the_repeated_field(self):
+        with pytest.raises(ParseError) as err:
+            parse_expr("new t(a = 1,\n      a = 2)")
+        assert str(err.value) == "2:7: duplicate initializer 'a'"
+        assert (err.value.span.start, err.value.span.end) == (19, 20)
+
     def test_call(self):
         e = parse_expr("f(x, 1 + 2)")
         assert isinstance(e, ast.Call) and len(e.args) == 2

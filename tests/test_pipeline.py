@@ -255,11 +255,14 @@ class TestSerialParallelParity:
     def test_negative_corpus_diagnostics_and_metrics_agree(self):
         parsable = []
         for case in NEGATIVE_CASES:
+            # Parse under the registry too: the pipeline's parse counts
+            # its tokens (``lang.tokens``).
+            reg = telemetry.enable()
             try:
                 program = parse_program(case.source)
             except Exception:
+                telemetry.disable()
                 continue
-            reg = telemetry.enable()
             try:
                 Checker(program).check_program()
                 serial = None

@@ -433,6 +433,26 @@ class TestSchemaValidator:
             validate(doc, self._schema())
 
 
+class TestParserInstrumentation:
+    def test_parse_span_and_token_counter(self):
+        from repro import api
+        from repro.lang import tokenize
+
+        reg = telemetry.enable()
+        parse_program(SOURCE)
+        assert reg.value("lang.tokens") == len(tokenize(SOURCE))
+        assert reg.spans[("lang.parse", None)].count == 1
+        # The facade's parse shows up as its own span too.
+        api.check(SOURCE)
+        assert reg.value("lang.tokens") == 2 * len(tokenize(SOURCE))
+        assert sum(s.count for (name, _), s in reg.spans.items() if name == "lang.parse") == 2
+
+    def test_disabled_parse_records_nothing(self):
+        parse_program(SOURCE)
+        reg = telemetry.registry()
+        assert reg.counters == {} and reg.spans == {}
+
+
 class TestCheckerInstrumentation:
     def test_rule_and_oracle_counters(self):
         program = parse_program(SOURCE)
