@@ -27,17 +27,23 @@ def render_diagnostic(
         return f"{filename}: {kind}: {message}"
     lines = source.splitlines()
     header = f"{filename}:{span.line}:{span.column}: {kind}: {message}"
-    if not (1 <= span.line <= len(lines)):
+    line, column = span.line, span.column
+    if lines and (line, column) == (len(lines) + 1, 1) and source.endswith("\n"):
+        # The end of an input that ends with a newline is the start of an
+        # empty line past the last one: show the last line instead, with
+        # the caret just past its end.
+        line, column = len(lines), len(lines[-1]) + 1
+    if not (1 <= line <= len(lines)):
         return header
-    text = lines[span.line - 1]
-    gutter = str(span.line)
+    text = lines[line - 1]
+    gutter = str(line)
     pad = " " * len(gutter)
     width = max(span.end - span.start, 1)
     # Clamp the caret run to the visible line.  A span's column can land
     # past the end of its line (an error at EOL, or one whose token ends
     # at the newline); without the clamp the caret floats in space far
     # to the right of the excerpt.
-    start_col = min(max(span.column - 1, 0), len(text))
+    start_col = min(max(column - 1, 0), len(text))
     width = min(width, max(len(text) - start_col, 1))
     # Tabs in the excerpt expand to an unknowable width; align the caret
     # by mirroring the line's own whitespace into the caret gutter.

@@ -70,6 +70,21 @@ class TestCaretGolden:
             "  |        ^^^^^"
         )
 
+    def test_end_of_input_after_final_newline(self):
+        # The end of an input that ends with a newline is line 3, column
+        # 1 here, an empty line past the last: the excerpt shows the last
+        # line with the caret just past its end.
+        source = "def f() : int {\n  1 /* never\n"
+        end = len(source)
+        span = SourceSpan(start=end, end=end, line=3, column=1)
+        out = render_diagnostic(source, span, "eof", filename="x.fcl")
+        assert out == (
+            "x.fcl:3:1: error: eof\n"
+            "  |\n"
+            "2 |   1 /* never\n"
+            "  |             ^"
+        )
+
     def test_tab_indented_line(self):
         # Tabs before the caret are mirrored into the caret gutter so the
         # marker lines up however wide the terminal renders the tab.
